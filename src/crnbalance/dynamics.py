@@ -128,16 +128,18 @@ def simulate(
     t = 0.0
     times = [0.0]
     states = [tuple(float(v) for v in x)]
-    residual = float(np.max(np.abs(rhs(x)))) if net.n else 0.0
+    fx = rhs(x)  # N v(x) at the current state: the residual and the next k1
+    residual = float(np.max(np.abs(fx)))
     steady = residual < steady_tol
     steps = 0
 
-    while not steady and t < t_end and steps < max_steps:
+    # summed steps can land a rounding sliver short of t_end; that sliver ends the run
+    while not steady and t_end - t > h_min and steps < max_steps:
         h = min(h, t_end - t)
         if h < h_min:
             raise SimulationError(f"step size underflow at t={t:.6g}")
         if adaptive:
-            k = [rhs(x)]
+            k = [fx]
             for stage in range(1, 6):
                 xs = x + h * sum(a * ki for a, ki in zip(_CK_A[stage], k))
                 k.append(rhs(xs))
@@ -148,7 +150,7 @@ def simulate(
             accept = err <= 1.0
             x_new = x5
         else:
-            k1 = rhs(x)
+            k1 = fx
             k2 = rhs(x + 0.5 * h * k1)
             k3 = rhs(x + 0.5 * h * k2)
             k4 = rhs(x + h * k3)
@@ -171,7 +173,8 @@ def simulate(
         states.append(tuple(float(v) for v in x))
         if adaptive:
             h *= min(5.0, max(0.2, 0.9 * (err + 1e-16) ** -0.2))
-        residual = float(np.max(np.abs(rhs(x)))) if net.n else 0.0
+        fx = rhs(x)
+        residual = float(np.max(np.abs(fx)))
         steady = residual < steady_tol
 
     if len(states) > 2001:

@@ -16,13 +16,7 @@ from functools import cached_property
 
 from . import ratmat
 from .network import ReactionNetwork
-from .partitions import (
-    AdmissiblePartition,
-    refines,
-    split_labels,
-    split_source_index,
-    split_target_index,
-)
+from .partitions import AdmissiblePartition, refines
 
 
 class StepKind(Enum):
@@ -187,13 +181,10 @@ def graph_from_partition(net: ReactionNetwork, partition: AdmissiblePartition) -
     """The reaction graph named by an admissible partition (blocks in given order)."""
     if partition.network != net:
         raise ValueError("partition belongs to a different network")
-    labels_by_index = split_labels(net)
+    labels_by_index = net.split_labels
     node_labels = tuple(labels_by_index[block[0] - 1] for block in partition.blocks)
     lookup = partition.block_of
-    edges = tuple(
-        (lookup[split_source_index(net, j)], lookup[split_target_index(net, j)])
-        for j in range(1, net.p + 1)
-    )
+    edges = tuple((lookup[s], lookup[t]) for s, t in zip(net.split_sources, net.split_targets))
     return ReactionGraph(net, partition, node_labels, edges)
 
 
@@ -205,9 +196,8 @@ def canonical_split_graph(net: ReactionNetwork) -> ReactionGraph:
 
 def canonical_complex_graph(net: ReactionNetwork) -> ReactionGraph:
     """Coarsest graph: one node per complex, in network numbering."""
-    labels = split_labels(net)
     classes: dict[int, list[int]] = {}
-    for idx, lab in enumerate(labels, start=1):
+    for idx, lab in enumerate(net.split_labels, start=1):
         classes.setdefault(lab, []).append(idx)
     blocks = tuple(tuple(classes[c]) for c in sorted(classes))
     return graph_from_partition(net, AdmissiblePartition(net, blocks))
@@ -229,14 +219,6 @@ def detailed_graph(net: ReactionNetwork) -> ReactionGraph:
             blocks.append((2 * j + 2,))
     ordered = tuple(sorted(blocks, key=min))
     return graph_from_partition(net, AdmissiblePartition(net, ordered))
-
-
-def is_weakly_reversible(g: ReactionGraph) -> bool:
-    return g.is_weakly_reversible
-
-
-def deficiency(g: ReactionGraph) -> int:
-    return g.deficiency
 
 
 def equivalent(g1: ReactionGraph, g2: ReactionGraph) -> bool:

@@ -155,12 +155,31 @@ class ReactionNetwork:
             out.append(rev)
         return tuple(out)
 
-    def complex_index(self, coeffs: Sequence[int]) -> int:
-        key = tuple(coeffs)
-        for i, cx in enumerate(self.complexes):
-            if cx.coeffs == key:
-                return i
-        raise KeyError(f"no complex {key} in network")
+    @cached_property
+    def split_labels(self) -> tuple[int, ...]:
+        """Complex index (0-based) on each split index 1..2p, at entry i-1.
+
+        Reaction j (0-based) owns split indices 2j+1 and 2j+2, its target
+        first when it reverses an earlier reaction (see ``partitions``).
+        """
+        labels: list[int] = []
+        for r, rev in zip(self.reactions, self.reverse_index):
+            labels.extend((r.source, r.target) if rev is None else (r.target, r.source))
+        return tuple(labels)
+
+    @cached_property
+    def split_sources(self) -> tuple[int, ...]:
+        """1-based split index holding each reaction's source, in reaction order."""
+        return tuple(
+            2 * j + 1 if rev is None else 2 * j + 2 for j, rev in enumerate(self.reverse_index)
+        )
+
+    @cached_property
+    def split_targets(self) -> tuple[int, ...]:
+        """1-based split index holding each reaction's target, in reaction order."""
+        return tuple(
+            2 * j + 2 if rev is None else 2 * j + 1 for j, rev in enumerate(self.reverse_index)
+        )
 
 
 def _check_rate(rate: RateValue, idx: int) -> None:
@@ -331,11 +350,6 @@ def format_network(net: ReactionNetwork) -> str:
         tgt = net.complexes[r.target].format(net.species)
         lines.append(f"r{k}: {src} -> {tgt} @ {format_rate(r.rate)}")
     return "\n".join(lines) + "\n"
-
-
-def stoichiometric_rank(net: ReactionNetwork) -> int:
-    """Exact rank of the stoichiometric matrix (dimension of S)."""
-    return net.rank
 
 
 def numeric_kappa(net: ReactionNetwork, kappa: Sequence | None = None) -> list:

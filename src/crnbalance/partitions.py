@@ -11,6 +11,7 @@ block order).
 
 from __future__ import annotations
 
+import itertools
 import json
 import os
 from dataclasses import dataclass
@@ -35,29 +36,21 @@ def split_labels(net: ReactionNetwork) -> tuple[int, ...]:
 
     Entry i-1 is the label of split index i.
     """
-    labels: list[int] = []
-    for j, r in enumerate(net.reactions):
-        if net.reverse_index[j] is None:
-            labels.extend((r.source, r.target))
-        else:
-            labels.extend((r.target, r.source))
-    return tuple(labels)
+    return net.split_labels
 
 
 def split_source_index(net: ReactionNetwork, reaction: int) -> int:
     """1-based split index holding reaction r_<reaction>'s source (reaction 1-based)."""
     if not 1 <= reaction <= net.p:
         raise ValueError(f"reaction index {reaction} out of range 1..{net.p}")
-    j = reaction - 1
-    return 2 * j + 2 if net.reverse_index[j] is not None else 2 * j + 1
+    return net.split_sources[reaction - 1]
 
 
 def split_target_index(net: ReactionNetwork, reaction: int) -> int:
     """1-based split index holding reaction r_<reaction>'s target."""
     if not 1 <= reaction <= net.p:
         raise ValueError(f"reaction index {reaction} out of range 1..{net.p}")
-    j = reaction - 1
-    return 2 * j + 1 if net.reverse_index[j] is not None else 2 * j + 2
+    return net.split_targets[reaction - 1]
 
 
 @dataclass(frozen=True)
@@ -71,7 +64,7 @@ class AdmissiblePartition:
         total = 2 * self.network.p
         object.__setattr__(self, "blocks", tuple(tuple(sorted(b)) for b in self.blocks))
         seen: set[int] = set()
-        labels = split_labels(self.network)
+        labels = self.network.split_labels
         for block in self.blocks:
             if not block:
                 raise PartitionError("empty block")
@@ -90,6 +83,16 @@ class AdmissiblePartition:
         if len(seen) != total:
             missing = sorted(set(range(1, total + 1)) - seen)
             raise PartitionError(f"split indices not covered: {missing}")
+
+    @classmethod
+    def _unchecked(
+        cls, network: ReactionNetwork, blocks: tuple[tuple[int, ...], ...]
+    ) -> "AdmissiblePartition":
+        """Skip validation, for blocks that are sorted, label-pure and complete."""
+        part = object.__new__(cls)
+        object.__setattr__(part, "network", network)
+        object.__setattr__(part, "blocks", blocks)
+        return part
 
     @property
     def size(self) -> int:
@@ -213,21 +216,17 @@ def enumerate_admissible_partitions(
         raise TooManyPartitionsError(
             f"{total} admissible partitions exceed the cap {max_count}"
         )
-    labels = split_labels(net)
     classes: dict[int, list[int]] = {}
-    for idx, lab in enumerate(labels, start=1):
+    for idx, lab in enumerate(net.split_labels, start=1):
         classes.setdefault(lab, []).append(idx)
-    class_list = [classes[lab] for lab in sorted(classes)]
-
-    def rec(i: int, acc: list[tuple[int, ...]]) -> Iterator[AdmissiblePartition]:
-        if i == len(class_list):
-            blocks = tuple(sorted(acc, key=min))
-            yield AdmissiblePartition(net, blocks)
-            return
-        for parts in _set_partitions(class_list[i]):
-            yield from rec(i + 1, acc + [tuple(b) for b in parts])
-
-    yield from rec(0, [])
+    # each class's set partitions once; product() keeps the first class outermost
+    per_class = [
+        [tuple(tuple(b) for b in parts) for parts in _set_partitions(classes[lab])]
+        for lab in sorted(classes)
+    ]
+    for choice in itertools.product(*per_class):
+        blocks = tuple(sorted(itertools.chain.from_iterable(choice)))
+        yield AdmissiblePartition._unchecked(net, blocks)
 
 
 def partition_from_json(net: ReactionNetwork, data) -> AdmissiblePartition:

@@ -92,10 +92,20 @@ def _scalar_text(value) -> str:
     return str(value)
 
 
+def _json_default(value):
+    if isinstance(value, (Fraction, Enum, complex)):
+        return json_value(value)
+    raise TypeError(f"Object of type {type(value).__name__} is not JSON serializable")
+
+
 def emit(data: dict, fmt: str, stream) -> None:
-    """Write one report; json is the stable machine contract."""
-    payload = json_value(data)
+    """Write one report; json is the stable machine contract.
+
+    The json form encodes the report directly; for reports with string
+    keys it equals ``json.dumps(json_value(data), indent=2)`` without
+    copying the report first.
+    """
     if fmt == "json":
-        stream.write(json.dumps(payload, indent=2) + "\n")
+        stream.write(json.dumps(data, indent=2, default=_json_default) + "\n")
     else:
-        stream.write("\n".join(_text_lines(payload, 0)) + "\n")
+        stream.write("\n".join(_text_lines(json_value(data), 0)) + "\n")

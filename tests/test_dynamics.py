@@ -99,6 +99,51 @@ def test_simulate_caps_stored_rows(ab):
     assert len(trace.times) == len(trace.states)
 
 
+def test_simulate_ends_on_a_whole_number_of_default_steps(running):
+    # complex graph of the running example, kappa from one unit cycle through
+    # each reaction at the witness x* = (1, 1); the 1000 summed default steps
+    # land a rounding sliver short of t_end, which used to raise underflow
+    kappa = [2, 2, 2, 2, 4, 4]
+    x0 = (1.0, 2.0)
+    scale = float(np.max(np.abs(np.diag(jacobian(running, x0, kappa)))))
+    t_end = 1000 * 1e-3 / scale
+    trace = simulate(running, x0, kappa, t_end=t_end)
+    assert trace.steps == 1000
+    assert trace.times[-1] == pytest.approx(t_end, rel=1e-12)
+    expected = oracles.reference_final_state(running, x0, kappa, t_end)
+    assert trace.final == pytest.approx(tuple(expected), rel=1e-6)
+
+
+def test_simulate_still_raises_on_a_step_below_the_minimum(ab):
+    # the minimum step is 1e-14 * max(t_end, 1); only the end of the run may be shorter
+    with pytest.raises(SimulationError, match="underflow at t=0"):
+        simulate(ab, (3.0, 0.0), t_end=1.0, dt=1e-16)
+
+
+def test_fixed_step_run_equals_a_plain_rk4(ab):
+    kappa, x0, h, t_end = [2.0, 1.0], (3.0, 0.0), 0.01, 0.5
+    kap = np.array(kappa)
+    sources = np.array([ab.complexes[r.source].coeffs for r in ab.reactions], dtype=float)
+    nmat = np.array(ab.stoichiometric_matrix, dtype=float)
+
+    def rhs(x):
+        return nmat @ (kap * (x[None, :] ** sources).prod(axis=1))
+
+    x, t, states = np.array(x0), 0.0, [x0]
+    while t_end - t > 1e-14:
+        step = min(h, t_end - t)
+        k1 = rhs(x)
+        k2 = rhs(x + 0.5 * step * k1)
+        k3 = rhs(x + 0.5 * step * k2)
+        k4 = rhs(x + step * k3)
+        x = x + (step / 6.0) * (k1 + 2 * k2 + 2 * k3 + k4)
+        t += step
+        states.append(tuple(float(v) for v in x))
+    trace = simulate(ab, x0, kappa, t_end=t_end, dt=h)
+    assert trace.states == tuple(states)
+    assert trace.steps == len(states) - 1
+
+
 @pytest.mark.parametrize(
     "x0, t_end, message",
     [

@@ -154,6 +154,14 @@ def test_enumerate_running_matches_brute_force(running):
     assert product == 900
 
 
+def test_enumerated_partitions_pass_validation(running, ab):
+    for net in (running, ab):
+        parts = list(enumerate_admissible_partitions(net))
+        validated = [AdmissiblePartition(net, p.blocks) for p in parts]
+        assert parts == validated
+        assert all(p.canonical() == p for p in parts)
+
+
 def test_enumeration_cap(running, monkeypatch):
     with pytest.raises(TooManyPartitionsError, match="900"):
         list(enumerate_admissible_partitions(running, max_count=100))
