@@ -21,6 +21,9 @@ from .graphs import ReactionGraph, StepKind
 from .kpoly import KPoly, cancel_common_content
 from .network import ReactionNetwork, mass_action_rates, numeric_kappa
 
+# The float bound of residual_is_zero.
+RESIDUAL_TOL = 1e-9
+
 
 class NotWeaklyReversibleError(ValueError):
     """Raised when an operation needs every component strongly connected."""
@@ -36,15 +39,8 @@ def _exact_kappa(g: ReactionGraph, kappa: Sequence) -> list[Fraction]:
     return [Fraction(v) for v in values]
 
 
-@dataclass(frozen=True)
-class CayleyMatrix:
+def cayley_matrix(g: ReactionGraph) -> tuple[tuple[int, ...], ...]:
     """Labeling matrix Y stacked on component indicator rows; kernel has dim = deficiency."""
-
-    graph: ReactionGraph
-    rows: tuple[tuple[int, ...], ...]
-
-
-def cayley_matrix(g: ReactionGraph) -> CayleyMatrix:
     label_rows = [
         tuple(g.label_vector(node)[i] for node in range(1, g.m + 1))
         for i in range(g.network.n)
@@ -53,16 +49,14 @@ def cayley_matrix(g: ReactionGraph) -> CayleyMatrix:
         tuple(1 if g.component_of[node - 1] == cid else 0 for node in range(1, g.m + 1))
         for cid in range(1, g.n_components + 1)
     ]
-    return CayleyMatrix(g, tuple(label_rows + indicator_rows))
+    return tuple(label_rows + indicator_rows)
 
 
-def integer_kernel_basis(a: CayleyMatrix | ReactionGraph) -> tuple[tuple[int, ...], ...]:
+def integer_kernel_basis(g: ReactionGraph) -> tuple[tuple[int, ...], ...]:
     """Primitive integer basis of ker A_G (deterministic echelon construction)."""
-    if isinstance(a, ReactionGraph):
-        a = cayley_matrix(a)
-    basis = ratmat.integer_nullspace(a.rows)
-    assert len(basis) == a.graph.deficiency, (
-        f"kernel dimension {len(basis)} != deficiency {a.graph.deficiency}"
+    basis = ratmat.integer_nullspace(cayley_matrix(g))
+    assert len(basis) == g.deficiency, (
+        f"kernel dimension {len(basis)} != deficiency {g.deficiency}"
     )
     return tuple(tuple(v) for v in basis)
 
@@ -146,26 +140,17 @@ def tree_constants_symbolic(g: ReactionGraph) -> TreeConstants:
     return TreeConstants(g, tuple(polys))
 
 
-def laplacian_matrix(g: ReactionGraph, kappa: Sequence | None = None):
+def laplacian_matrix(g: ReactionGraph, kappa: Sequence) -> list[list[Fraction]]:
     """m x m Laplacian with columns summing to zero.
 
-    Entry (b,a) collects the rate constants of edges a->b; numeric
-    Fractions when kappa is given, polynomials otherwise.
+    Entry (b,a) collects the exact rate constants of edges a->b.
     """
-    if kappa is None:
-        p = g.network.p
-        rows = [[KPoly.zero(p) for _ in range(g.m)] for _ in range(g.m)]
-        for j, (a, b) in enumerate(g.edges):
-            var = KPoly.variable(p, j)
-            rows[b - 1][a - 1] = rows[b - 1][a - 1] + var
-            rows[a - 1][a - 1] = rows[a - 1][a - 1] - var
-    else:
-        kap = _exact_kappa(g, kappa)
-        rows = [[Fraction(0) for _ in range(g.m)] for _ in range(g.m)]
-        for j, (a, b) in enumerate(g.edges):
-            rows[b - 1][a - 1] += kap[j]
-            rows[a - 1][a - 1] -= kap[j]
-    return [list(r) for r in rows]
+    kap = _exact_kappa(g, kappa)
+    rows = [[Fraction(0) for _ in range(g.m)] for _ in range(g.m)]
+    for j, (a, b) in enumerate(g.edges):
+        rows[b - 1][a - 1] += kap[j]
+        rows[a - 1][a - 1] -= kap[j]
+    return rows
 
 
 def tree_constants_eval(g: ReactionGraph, kappa: Sequence) -> list[Fraction]:
@@ -335,14 +320,12 @@ class SteadyStateResult:
     residual: float
 
 
-def solve_positive_steady_state(
-    g: ReactionGraph, kappa: Sequence, tol: float = 1e-9
-) -> SteadyStateResult:
+def solve_positive_steady_state(g: ReactionGraph, kappa: Sequence) -> SteadyStateResult:
     """Least-squares solve of the log-linear binomial system.
 
     Taking logs of K_j x^(Y_i) = K_i x^(Y_j) gives, per edge (i,j),
     (Y_j - Y_i) . xi = log K_j - log K_i with xi = log x. Consistency of
-    this system (residual below tol) is equivalent to the kappa being
+    this system (residual below RESIDUAL_TOL) is equivalent to the kappa being
     node balanced; the returned x is one positive solution.
     """
     import numpy as np
@@ -361,7 +344,7 @@ def solve_positive_steady_state(
     vec = np.array(rhs)
     xi, *_ = np.linalg.lstsq(mat, vec, rcond=None)
     residual = float(np.max(np.abs(mat @ xi - vec))) if len(rhs) else 0.0
-    if residual >= tol:
+    if residual >= RESIDUAL_TOL:
         return SteadyStateResult(False, None, None, residual)
     x = tuple(float(v) for v in np.exp(xi))
     return SteadyStateResult(True, x, tuple(float(v) for v in xi), residual)
@@ -374,15 +357,21 @@ def node_balance_residual(g: ReactionGraph, rates: Sequence) -> list:
     return ratmat.matvec(g.incidence_matrix, rates)
 
 
-def state_is_balanced(
-    g: ReactionGraph, x: Sequence, kappa: Sequence | None = None, tol: float = 1e-9
-) -> bool:
-    """Node balance of a concrete state; exact for rational inputs."""
-    v = mass_action_rates(g.network, x, kappa)
-    residual = node_balance_residual(g, v)
+def residual_is_zero(residual: Sequence) -> bool:
+    """The zero rule for every balance residual.
+
+    Exact when every entry is an int or Fraction; otherwise every entry
+    must be below RESIDUAL_TOL in absolute value.
+    """
     if all(isinstance(r, (int, Fraction)) for r in residual):
         return all(r == 0 for r in residual)
-    return max(abs(float(r)) for r in residual) < tol
+    return all(abs(float(r)) < RESIDUAL_TOL for r in residual)
+
+
+def state_is_balanced(g: ReactionGraph, x: Sequence, kappa: Sequence | None = None) -> bool:
+    """Node balance of a concrete state; exact for rational inputs."""
+    v = mass_action_rates(g.network, x, kappa)
+    return residual_is_zero(node_balance_residual(g, v))
 
 
 def rate_matrix(net: ReactionNetwork, x: Sequence, kappa: Sequence | None = None) -> list[list]:
@@ -420,14 +409,8 @@ def omega_symmetry_check(g: ReactionGraph, x: Sequence, kappa: Sequence | None =
     )
     v = mass_action_rates(g.network, x, kappa)
     residual = tuple(node_balance_residual(g, v))
-    exact = all(isinstance(d, (int, Fraction)) for d in difference + residual)
-    if exact:
-        matches = difference == residual
-        symmetric = all(d == 0 for d in difference)
-    else:
-        matches = all(abs(float(a - b)) < 1e-9 for a, b in zip(difference, residual))
-        symmetric = all(abs(float(d)) < 1e-9 for d in difference)
-    return OmegaCheck(difference, residual, symmetric, matches)
+    matches = residual_is_zero([a - b for a, b in zip(difference, residual)])
+    return OmegaCheck(difference, residual, residual_is_zero(difference), matches)
 
 
 @dataclass(frozen=True)

@@ -196,7 +196,7 @@ def cmd_graph_info(args, out: IO[str]) -> int:
     report = {"network": _network_facts(net) | {"rank": net.rank}}
     report.update(graph_summary(g))
     report["strongly_connected_components"] = [list(c) for c in g.strong_components]
-    report["cayley_matrix"] = [list(row) for row in cayley_matrix(g).rows]
+    report["cayley_matrix"] = [list(row) for row in cayley_matrix(g)]
     basis = integer_kernel_basis(g)
     report["kernel_dimension"] = len(basis)
     report["kernel_basis"] = [list(u) for u in basis]

@@ -214,7 +214,6 @@ def birch_point(
     g: ReactionGraph,
     kappa: Sequence | None = None,
     x0: Sequence | None = None,
-    tol: float = 1e-10,
 ) -> tuple[float, ...]:
     """The positive steady state in the compatibility class of x0.
 
@@ -253,7 +252,7 @@ def birch_point(
     f = u_perp.T @ (x - target)
     for _ in range(100):
         norm = float(np.max(np.abs(f)))
-        if norm < tol:
+        if norm < 1e-10:
             break
         jac = u_perp.T @ (x[:, None] * u_perp)
         step = np.linalg.solve(jac, -f)

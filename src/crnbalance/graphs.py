@@ -129,12 +129,12 @@ class ReactionGraph:
 
     @cached_property
     def is_weakly_reversible(self) -> bool:
-        """True iff every connected component is strongly connected."""
-        strong_of = {}
-        for cid, comp in enumerate(self.strong_components):
-            for node in comp:
-                strong_of[node] = cid
-        return all(strong_of[a] == strong_of[b] for a, b in self.edges)
+        """True iff every connected component is strongly connected.
+
+        Each weak component is a union of strong ones, so the counts agree
+        exactly when no weak component splits.
+        """
+        return len(self.strong_components) == self.n_components
 
     @cached_property
     def deficiency(self) -> int:

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
 
-from .balance import node_balance_residual
+from .balance import node_balance_residual, residual_is_zero
 from .graphs import ReactionGraph, canonical_complex_graph
 from .network import (
     Complex,
@@ -166,15 +166,14 @@ def verify_lift(
     g: ReactionGraph,
     kappa: Sequence | None,
     x: Sequence,
-    tol: float = 1e-9,
 ) -> LiftVerification:
     """Check the lift correspondence at one positive state.
 
     Node balance of x for g must coincide with complex balance of the
     replicated state in the lifted network, and the lifted complex-graph
     residual must reproduce the node residual on lifted node complexes
-    while vanishing on exchange complexes. Exact when x and kappa are
-    rational.
+    while vanishing on exchange complexes. Each residual vector is judged
+    by the zero rule of ``balance.residual_is_zero``.
     """
     lift = lift_network(net, g)
     kap = numeric_kappa(net, kappa)
@@ -184,23 +183,14 @@ def verify_lift(
         lifted_graph,
         mass_action_rates(lift.network, lift.replicate(x), lift.lifted_kappa(kap)),
     )
-
-    exact = all(
-        isinstance(r, (int, Fraction)) for r in list(base_residual) + list(lifted_residual)
+    row_errors = [
+        lifted_residual[cx] - base_residual[node - 1]
+        for node, cx in enumerate(lift.node_complex_index, start=1)
+    ]
+    node_rows = set(lift.node_complex_index)
+    row_errors += [r for cx, r in enumerate(lifted_residual) if cx not in node_rows]
+    return LiftVerification(
+        residual_is_zero(base_residual),
+        residual_is_zero(lifted_residual),
+        residual_is_zero(row_errors),
     )
-
-    def is_zero(value) -> bool:
-        return value == 0 if exact else abs(float(value)) < tol
-
-    base_balanced = all(is_zero(r) for r in base_residual)
-    lift_balanced = all(is_zero(r) for r in lifted_residual)
-    node_rows = set()
-    rows_match = True
-    for node, cx in enumerate(lift.node_complex_index, start=1):
-        node_rows.add(cx)
-        diff = lifted_residual[cx] - base_residual[node - 1]
-        rows_match = rows_match and is_zero(diff)
-    for cx in range(lift.network.m):
-        if cx not in node_rows:
-            rows_match = rows_match and is_zero(lifted_residual[cx])
-    return LiftVerification(base_balanced, lift_balanced, rows_match)

@@ -31,28 +31,6 @@ class TooManyPartitionsError(PartitionError):
     """Raised when enumeration would exceed the configured cap."""
 
 
-def split_labels(net: ReactionNetwork) -> tuple[int, ...]:
-    """Complex index (0-based) carried by each split index 1..2p.
-
-    Entry i-1 is the label of split index i.
-    """
-    return net.split_labels
-
-
-def split_source_index(net: ReactionNetwork, reaction: int) -> int:
-    """1-based split index holding reaction r_<reaction>'s source (reaction 1-based)."""
-    if not 1 <= reaction <= net.p:
-        raise ValueError(f"reaction index {reaction} out of range 1..{net.p}")
-    return net.split_sources[reaction - 1]
-
-
-def split_target_index(net: ReactionNetwork, reaction: int) -> int:
-    """1-based split index holding reaction r_<reaction>'s target."""
-    if not 1 <= reaction <= net.p:
-        raise ValueError(f"reaction index {reaction} out of range 1..{net.p}")
-    return net.split_targets[reaction - 1]
-
-
 @dataclass(frozen=True)
 class AdmissiblePartition:
     """An ordered, label-pure partition of {1..2p}; block order = node order."""
@@ -187,7 +165,7 @@ def bell_number(n: int) -> int:
 
 
 def count_admissible_partitions(net: ReactionNetwork) -> int:
-    labels = split_labels(net)
+    labels = net.split_labels
     sizes: dict[int, int] = {}
     for lab in labels:
         sizes[lab] = sizes.get(lab, 0) + 1

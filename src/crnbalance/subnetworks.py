@@ -9,18 +9,13 @@ is equivalent to simultaneous balance of all the pieces.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 from functools import cached_property
 from typing import Sequence
 
-from .balance import node_balance_residual
+from .balance import state_is_balanced
 from .graphs import ReactionGraph, graph_from_partition
-from .network import Complex, Reaction, ReactionNetwork, mass_action_rates, numeric_kappa
-from .partitions import (
-    AdmissiblePartition,
-    split_source_index,
-    split_target_index,
-)
+from .network import Complex, Reaction, ReactionNetwork, numeric_kappa
+from .partitions import AdmissiblePartition
 
 
 class SplitError(ValueError):
@@ -129,9 +124,9 @@ def _translate_split_index(
         k = sub.reaction_indices.index(j) + 1
     except ValueError:
         return None
-    if original == split_source_index(net, j):
-        return split_source_index(sub.network, k)
-    return split_target_index(sub.network, k)
+    if original == net.split_sources[j - 1]:
+        return sub.network.split_sources[k - 1]
+    return sub.network.split_targets[k - 1]
 
 
 @dataclass(frozen=True)
@@ -197,8 +192,8 @@ def induced_graphs(g: ReactionGraph, split: SubnetworkSplit) -> InducedGraphs:
     membership = {}
     for i, subset in enumerate(split.parts):
         for j in subset:
-            membership[split_source_index(net, j)] = i
-            membership[split_target_index(net, j)] = i
+            membership[net.split_sources[j - 1]] = i
+            membership[net.split_targets[j - 1]] = i
     refined: dict[tuple[int, int], list[int]] = {}
     for block_index, block in enumerate(g.partition.blocks):
         for original in block:
@@ -227,41 +222,31 @@ class DecompositionCheck:
         return self.union_graph
 
 
-def _residual_zero(residual: Sequence, tol: float) -> bool:
-    if all(isinstance(r, (int, Fraction)) for r in residual):
-        return all(r == 0 for r in residual)
-    return max(abs(float(r)) for r in residual) < tol
-
-
 def decomposition_check(
     net: ReactionNetwork,
     g: ReactionGraph,
     split: SubnetworkSplit,
     kappa: Sequence | None,
     x: Sequence,
-    tol: float = 1e-9,
 ) -> DecompositionCheck:
     """Equivalent balance verdicts for a state under a reaction split.
 
     Checks (a) balance of the whole graph plus each named subset's graph,
     (b) balance of the refined union graph, (c) balance of every part
-    including the complement. Exact arithmetic when x and kappa are
-    rational, tolerance tol otherwise.
+    including the complement. Each verdict follows the zero rule of
+    ``balance.residual_is_zero``.
     """
     induced = induced_graphs(g, split)
     kap = numeric_kappa(net, kappa)
-
-    def balanced_on(graph: ReactionGraph, state: Sequence, rates_kappa) -> bool:
-        v = mass_action_rates(graph.network, state, rates_kappa)
-        return _residual_zero(node_balance_residual(graph, v), tol)
-
     part_balanced = [
-        balanced_on(part.graph, part.subnetwork.project_state(x), part.subnetwork.project_kappa(kap))
+        state_is_balanced(
+            part.graph, part.subnetwork.project_state(x), part.subnetwork.project_kappa(kap)
+        )
         for part in induced.parts
     ]
     named = part_balanced[: len(split.subsets)]
-    whole = balanced_on(g, x, kap)
-    union = balanced_on(induced.union_graph, x, kap)
+    whole = state_is_balanced(g, x, kap)
+    union = state_is_balanced(induced.union_graph, x, kap)
     return DecompositionCheck(
         whole_and_subsets=whole and all(named),
         union_graph=union,

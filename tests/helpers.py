@@ -13,9 +13,6 @@ from crnbalance import (
     ReactionNetwork,
     graph_from_partition,
     positive_kernel_flux,
-    split_labels,
-    split_source_index,
-    split_target_index,
 )
 
 
@@ -115,8 +112,8 @@ def random_wr_graph(
         net, _ = _network_from_labeled_edges(n_species, labels, edges)
         blocks: dict[int, list[int]] = {v: [] for v in range(1, m + 1)}
         for j, (a, b) in enumerate(edges, start=1):
-            blocks[a].append(split_source_index(net, j))
-            blocks[b].append(split_target_index(net, j))
+            blocks[a].append(net.split_sources[j - 1])
+            blocks[b].append(net.split_targets[j - 1])
         part = AdmissiblePartition(net, tuple(tuple(sorted(v)) for v in blocks.values()))
         graph = graph_from_partition(net, part)
         assert graph.edges == tuple(edges)
@@ -161,7 +158,7 @@ def random_network(
 
 def random_partition(rng: random.Random, net: ReactionNetwork) -> AdmissiblePartition:
     """A random admissible partition of the network's split indices."""
-    labels = split_labels(net)
+    labels = net.split_labels
     by_label: dict[int, list[int]] = {}
     for idx, lab in enumerate(labels, start=1):
         by_label.setdefault(lab, []).append(idx)
@@ -183,7 +180,7 @@ def random_coarsening(
     rng: random.Random, net: ReactionNetwork, part: AdmissiblePartition
 ) -> AdmissiblePartition:
     """Merge a few same-class block pairs of part (possibly none)."""
-    labels = split_labels(net)
+    labels = net.split_labels
     blocks = [list(b) for b in part.blocks]
     for _ in range(rng.randint(0, 3)):
         by_label: dict[int, list[int]] = {}

@@ -72,7 +72,7 @@ def test_c01_partition_table_reproduction(table1):
 def test_c02_cayley_kernel_span(table1):
     """Cayley matrix of the five-node graph and its integer kernel."""
     a = cayley_matrix(table1[4])
-    assert a.rows == (
+    assert a == (
         (3, 1, 0, 2, 3),
         (0, 2, 3, 1, 0),
         (1, 1, 1, 1, 1),
@@ -81,7 +81,7 @@ def test_c02_cayley_kernel_span(table1):
     assert len(basis) == 3
     reference = [(-1, 0, 0, 0, 1), (-1, -1, 0, 2, 0), (1, -3, 2, 0, 0)]
     for u in reference:
-        assert all(v == 0 for v in ratmat.matvec(a.rows, u))
+        assert all(v == 0 for v in ratmat.matvec(a, u))
     assert oracles.same_rational_span(
         [list(u) for u in basis], [list(u) for u in reference]
     )

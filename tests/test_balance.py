@@ -13,11 +13,13 @@ from crnbalance import (
     KPoly,
     NotWeaklyReversibleError,
     StepKind,
+    SubnetworkSplit,
     balance_conditions,
     cayley_matrix,
     canonical_complex_graph,
     canonical_split_graph,
     check_kappa_balanced,
+    decomposition_check,
     graph_from_partition,
     incremental_condition,
     inclusion_morphism,
@@ -37,6 +39,7 @@ from crnbalance import (
     omega_symmetry_check,
     tree_constants_eval,
     tree_constants_symbolic,
+    verify_lift,
 )
 
 ONES = [Fraction(1)] * 6
@@ -51,8 +54,7 @@ def _monomial(nvars, *vars_and_exps):
 
 
 def test_cayley_matrix_g4(table1):
-    a = cayley_matrix(table1[4])
-    assert a.rows == (
+    assert cayley_matrix(table1[4]) == (
         (3, 1, 0, 2, 3),
         (0, 2, 3, 1, 0),
         (1, 1, 1, 1, 1),
@@ -62,8 +64,8 @@ def test_cayley_matrix_g4(table1):
 def test_cayley_matrix_indicator_rows(table1):
     g3 = table1[3]
     a = cayley_matrix(g3)
-    assert a.rows[2] == (1, 1, 1, 0, 0, 0)
-    assert a.rows[3] == (0, 0, 0, 1, 1, 1)
+    assert a[2] == (1, 1, 1, 0, 0, 0)
+    assert a[3] == (0, 0, 0, 1, 1, 1)
 
 
 def test_kernel_dimension_equals_deficiency(table1):
@@ -73,10 +75,10 @@ def test_kernel_dimension_equals_deficiency(table1):
 
 def test_g4_kernel_contains_reference_vectors(table1):
     a = cayley_matrix(table1[4])
-    basis = integer_kernel_basis(a)
+    basis = integer_kernel_basis(table1[4])
     reference = [(-1, 0, 0, 0, 1), (-1, -1, 0, 2, 0), (1, -3, 2, 0, 0)]
     for u in reference:
-        assert all(v == 0 for v in ratmat.matvec(a.rows, u))
+        assert all(v == 0 for v in ratmat.matvec(a, u))
     assert oracles.same_rational_span(
         [list(v) for v in basis], [list(u) for u in reference]
     )
@@ -87,10 +89,10 @@ def test_kernel_basis_annihilates_and_is_deterministic():
     for _ in range(15):
         g = helpers.random_wr_graph(rng)
         a = cayley_matrix(g)
-        basis = integer_kernel_basis(a)
-        assert basis == integer_kernel_basis(cayley_matrix(g))
+        basis = integer_kernel_basis(g)
+        assert basis == integer_kernel_basis(g)
         for u in basis:
-            assert all(v == 0 for v in ratmat.matvec(a.rows, u))
+            assert all(v == 0 for v in ratmat.matvec(a, u))
             nonzero = [v for v in u if v]
             assert nonzero and nonzero[0] > 0
 
@@ -372,6 +374,36 @@ def test_state_is_balanced_float_tolerance(table1):
     g = table1[4]
     assert state_is_balanced(g, (1.0, 1.0), [1.0, 1.0, 1.0, 1.0, 2.0, 2.0])
     assert not state_is_balanced(g, (1.0, 2.0), [1.0, 1.0, 1.0, 1.0, 2.0, 2.0])
+
+
+def _balance_verdicts(g, x, kappa) -> set:
+    """Three verdicts on node balance of x for g; the decomposition views must agree."""
+    net = g.network
+    split = SubnetworkSplit(net, ((1, 2, 6),))
+    assert decomposition_check(net, g, split, kappa, x).agree
+    return {
+        state_is_balanced(g, x, kappa),
+        omega_symmetry_check(g, x, kappa).symmetric,
+        verify_lift(net, g, kappa, x).base_balanced,
+    }
+
+
+def test_one_zero_rule_gives_one_verdict(table1):
+    rng = random.Random(66)
+    for i in (1, 2, 3, 4):
+        g = table1[i]
+        kappa, x_star = helpers.balanced_kappa(rng, g)
+        float_kappa = [float(k) for k in kappa]
+        # balanced states are x* exp(S-perp), S-perp = span(1, 1) here
+        off = (x_star[0] * Fraction(11, 10), x_star[1])
+        for x, expected in ((x_star, True), (off, False)):
+            float_x = [float(v) for v in x]
+            for state, rates in ((x, kappa), (float_x, float_kappa), (float_x, kappa)):
+                assert _balance_verdicts(g, state, rates) == {expected}
+        # exact input is decided exactly, however small the defect
+        near = (x_star[0] * (1 + Fraction(1, 10**15)), x_star[1])
+        assert _balance_verdicts(g, near, kappa) == {False}
+        assert _balance_verdicts(g, [float(v) for v in near], kappa) == {True}
 
 
 def test_rate_matrix_entries(running):

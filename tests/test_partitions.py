@@ -21,26 +21,23 @@ from crnbalance import (
     partition_from_json,
     partition_to_json,
     refines,
-    split_labels,
-    split_source_index,
-    split_target_index,
 )
 
 
 def test_split_labels_running(running):
-    assert split_labels(running) == (0, 1, 1, 2, 2, 3, 3, 0, 0, 2, 0, 2)
+    assert running.split_labels == (0, 1, 1, 2, 2, 3, 3, 0, 0, 2, 0, 2)
 
 
 def test_split_indices_plain_and_reversing(running):
     # r1..r5 in file order; r6 reverses r5, so its two indices swap roles
-    assert [split_source_index(running, j) for j in range(1, 7)] == [1, 3, 5, 7, 9, 12]
-    assert [split_target_index(running, j) for j in range(1, 7)] == [2, 4, 6, 8, 10, 11]
+    assert running.split_sources == (1, 3, 5, 7, 9, 12)
+    assert running.split_targets == (2, 4, 6, 8, 10, 11)
 
 
 def test_split_indices_fig2(fig2):
-    assert split_labels(fig2) == (0, 1, 0, 1, 2, 0, 2, 0, 1, 2, 1, 2, 1, 3, 3, 2)
-    assert [split_source_index(fig2, j) for j in range(1, 9)] == [1, 4, 5, 8, 9, 12, 13, 15]
-    assert [split_target_index(fig2, j) for j in range(1, 9)] == [2, 3, 6, 7, 10, 11, 14, 16]
+    assert fig2.split_labels == (0, 1, 0, 1, 2, 0, 2, 0, 1, 2, 1, 2, 1, 3, 3, 2)
+    assert fig2.split_sources == (1, 4, 5, 8, 9, 12, 13, 15)
+    assert fig2.split_targets == (2, 3, 6, 7, 10, 11, 14, 16)
 
 
 def test_admissibility_validation(running):
@@ -115,7 +112,7 @@ def test_count_running_and_fig2(running, fig2):
 
 
 def test_count_matches_class_product(running):
-    labels = split_labels(running)
+    labels = running.split_labels
     product = 1
     for lab in set(labels):
         product *= oracles.sympy_bell(labels.count(lab))
@@ -143,7 +140,7 @@ def test_enumerate_running_matches_brute_force(running):
     assert parts == list(enumerate_admissible_partitions(running))
 
     # cross-check against independent set-partition recursion per class
-    labels = split_labels(running)
+    labels = running.split_labels
     class_counts = [
         len(oracles.brute_set_partitions([i for i, l in enumerate(labels, 1) if l == lab]))
         for lab in sorted(set(labels))

@@ -1,0 +1,62 @@
+"""Guards on the names that other code reaches.
+
+The package root must export what it lists, and the benchmark under
+``perfbench/`` must still find every function it wraps or calls.
+"""
+
+from __future__ import annotations
+
+import ast
+import importlib
+import importlib.util
+import json
+import types
+from pathlib import Path
+
+import crnbalance
+
+ROOT = Path(__file__).resolve().parents[1]
+
+
+def _load_benchmark_module(name: str):
+    path = ROOT / "perfbench" / f"{name}.py"
+    spec = importlib.util.spec_from_file_location(f"perfbench_{name}", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_all_lists_exactly_the_public_imports():
+    for name in crnbalance.__all__:
+        assert hasattr(crnbalance, name), f"__all__ names missing {name!r}"
+    tree = ast.parse(Path(crnbalance.__file__).read_text(encoding="utf-8"))
+    imported = {
+        alias.asname or alias.name
+        for node in tree.body
+        if isinstance(node, ast.ImportFrom)
+        for alias in node.names
+    }
+    unlisted = {n for n in imported if not n.startswith("_")} - set(crnbalance.__all__)
+    assert not unlisted, f"imported but not in __all__: {sorted(unlisted)}"
+
+
+def test_benchmark_tracer_and_loader_find_their_names():
+    tracing = _load_benchmark_module("tracing")
+    loader = _load_benchmark_module("loader")
+    mods = types.SimpleNamespace(
+        **{name: importlib.import_module(f"crnbalance.{name}") for name in loader.MODULES}
+    )
+    tracer = tracing.Tracer()
+    try:
+        tracer.install(mods)
+    finally:
+        tracer.uninstall()
+    data = ROOT / "tests" / "data"
+    spec = {
+        "networks": [(data / "running.crn").read_text(encoding="utf-8")],
+        "graphs": [[0, json.loads((data / "p4.json").read_text(encoding="utf-8"))]],
+        "splits": [[0, [1, 2, 6]]],
+    }
+    pnets, graphs, splits = loader.load(mods, spec)
+    assert graphs[0].network is pnets[0] and graphs[0].m == 5
+    assert splits[0].subsets == ((1, 2, 6),)
