@@ -54,11 +54,11 @@ def cayley_matrix(g: ReactionGraph) -> tuple[tuple[int, ...], ...]:
 
 def integer_kernel_basis(g: ReactionGraph) -> tuple[tuple[int, ...], ...]:
     """Primitive integer basis of ker A_G (deterministic echelon construction)."""
-    basis = ratmat.integer_nullspace(cayley_matrix(g))
+    basis = tuple(ratmat.nullspace(cayley_matrix(g)))
     assert len(basis) == g.deficiency, (
         f"kernel dimension {len(basis)} != deficiency {g.deficiency}"
     )
-    return tuple(tuple(v) for v in basis)
+    return basis
 
 
 @dataclass(frozen=True)
@@ -198,6 +198,14 @@ class BalanceConditions:
     expanded: bool
 
 
+def _side_product(side: Sequence[tuple[int, int]], values: Sequence, one):
+    """prod values[node - 1] ** e over one side of a relation, starting from one."""
+    out = one
+    for node, e in side:
+        out = out * values[node - 1] ** e
+    return out
+
+
 def balance_conditions(g: ReactionGraph, expand: bool = False) -> BalanceConditions:
     """The deficiency-many conditions on kappa for node balanceability.
 
@@ -214,13 +222,10 @@ def balance_conditions(g: ReactionGraph, expand: bool = False) -> BalanceConditi
         rhs = tuple((i + 1, -e) for i, e in enumerate(u) if e < 0)
         lhs_poly = rhs_poly = None
         if trees is not None:
-            lhs_poly = KPoly.constant(g.network.p, 1)
-            for node, e in lhs:
-                lhs_poly = lhs_poly * trees.polys[node - 1] ** e
-            rhs_poly = KPoly.constant(g.network.p, 1)
-            for node, e in rhs:
-                rhs_poly = rhs_poly * trees.polys[node - 1] ** e
-            lhs_poly, rhs_poly = cancel_common_content(lhs_poly, rhs_poly)
+            one = KPoly.constant(g.network.p, 1)
+            lhs_poly, rhs_poly = cancel_common_content(
+                _side_product(lhs, trees.polys, one), _side_product(rhs, trees.polys, one)
+            )
         relations.append(Relation(u, lhs, rhs, lhs_poly, rhs_poly))
     return BalanceConditions(g, basis, tuple(relations), expand)
 
@@ -259,12 +264,8 @@ def check_kappa_balanced(g: ReactionGraph, kappa: Sequence) -> BalanceCheck:
     constants = tree_constants_eval(g, kap)
     values = []
     for rel in conditions.relations:
-        lhs = Fraction(1)
-        for node, e in rel.lhs:
-            lhs *= Fraction(constants[node - 1]) ** e
-        rhs = Fraction(1)
-        for node, e in rel.rhs:
-            rhs *= Fraction(constants[node - 1]) ** e
+        lhs = _side_product(rel.lhs, constants, Fraction(1))
+        rhs = _side_product(rel.rhs, constants, Fraction(1))
         values.append(RelationValue(rel, lhs, rhs))
     return BalanceCheck(g, tuple(kap), tuple(values))
 
@@ -427,9 +428,11 @@ class IncrementalCondition:
         return self.kind is StepKind.SAME_COMPONENT
 
     def holds(self, kappa: Sequence) -> bool:
+        kap = [Fraction(k) for k in kappa]
+        if not all(k > 0 for k in kap):
+            raise ValueError("rate constants must be positive")
         if self.lhs is None:
             return True
-        kap = [Fraction(k) for k in kappa]
         return self.lhs.evaluate(kap) == self.rhs.evaluate(kap)
 
 
@@ -441,14 +444,7 @@ def incremental_condition(g: ReactionGraph, i1: int, i2: int) -> IncrementalCond
     content cancelled.
     """
     _require_weakly_reversible(g, "incremental_condition")
-    for i in (i1, i2):
-        if not 1 <= i <= g.m:
-            raise ValueError(f"node {i} out of range 1..{g.m}")
-    if i1 == i2:
-        raise ValueError(f"cannot join node {i1} with itself")
-    if g.labels[i1 - 1] != g.labels[i2 - 1]:
-        raise ValueError(f"nodes {i1} and {i2} have different labels")
-    if g.component_of[i1 - 1] != g.component_of[i2 - 1]:
+    if g.join_kind(i1, i2) is StepKind.DIFFERENT_COMPONENTS:
         return IncrementalCondition(StepKind.DIFFERENT_COMPONENTS, (i1, i2), None, None)
     trees = tree_constants_symbolic(g)
     lhs, rhs = cancel_common_content(trees.polys[i1 - 1], trees.polys[i2 - 1])

@@ -44,6 +44,7 @@ from .network import (
     ReactionNetwork,
     format_network,
     format_rate,
+    numeric_kappa,
     parse_network,
 )
 from .partitions import (
@@ -418,7 +419,7 @@ def cmd_incremental(args, out: IO[str]) -> int:
     }
     exit_code = 0
     if args.kappa is not None:
-        kappa = _parse_kappa(net, args.kappa)
+        kappa = numeric_kappa(net, _parse_kappa(net, args.kappa))
         holds = condition.holds(kappa)
         report["kappa"] = [format_rate(Fraction(k)) for k in kappa]
         report["holds"] = holds

@@ -9,7 +9,6 @@ the class.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from enum import Enum
 from typing import Sequence
@@ -20,6 +19,10 @@ from . import ratmat
 from .balance import solve_positive_steady_state
 from .graphs import ReactionGraph
 from .network import ReactionNetwork, numeric_kappa
+
+
+# simulate stops once the infinity norm of N v(x) is below this
+STEADY_TOL = 1e-10
 
 
 class SimulationError(RuntimeError):
@@ -50,8 +53,7 @@ def _rates(kap: np.ndarray, sources: np.ndarray, x: np.ndarray) -> np.ndarray:
 
 def conservation_laws(net: ReactionNetwork) -> tuple[tuple[int, ...], ...]:
     """Primitive integer basis of the left kernel of N (w with w.N = 0)."""
-    basis = ratmat.integer_nullspace(ratmat.transpose(net.stoichiometric_matrix))
-    return tuple(tuple(v) for v in basis)
+    return tuple(ratmat.nullspace(ratmat.transpose(net.stoichiometric_matrix)))
 
 
 @dataclass(frozen=True)
@@ -96,7 +98,6 @@ def simulate(
     dt: float | None = None,
     adaptive: bool = False,
     tol: float = 1e-8,
-    steady_tol: float = 1e-10,
     max_steps: int = 2_000_000,
 ) -> SimulationTrace:
     """Integrate dx/dt = N v(x) from x0 up to t_end.
@@ -104,7 +105,7 @@ def simulate(
     Fixed-step classical Runge-Kutta by default (step from the Jacobian
     scale at x0, overridable via dt); adaptive=True switches to the
     embedded Cash-Karp 4(5) pair with relative tolerance tol. Stops
-    early once the infinity norm of N v(x) drops below steady_tol.
+    early once the infinity norm of N v(x) drops below STEADY_TOL.
     Components that dip below zero by less than 1e-12 are clipped;
     larger excursions reject the step and halve it.
 
@@ -130,7 +131,7 @@ def simulate(
     states = [tuple(float(v) for v in x)]
     fx = rhs(x)  # N v(x) at the current state: the residual and the next k1
     residual = float(np.max(np.abs(fx)))
-    steady = residual < steady_tol
+    steady = residual < STEADY_TOL
     steps = 0
 
     # summed steps can land a rounding sliver short of t_end; that sliver ends the run
@@ -175,7 +176,7 @@ def simulate(
             h *= min(5.0, max(0.2, 0.9 * (err + 1e-16) ** -0.2))
         fx = rhs(x)
         residual = float(np.max(np.abs(fx)))
-        steady = residual < steady_tol
+        steady = residual < STEADY_TOL
 
     if len(states) > 2001:
         stride = (len(states) - 1) // 2000 + 1

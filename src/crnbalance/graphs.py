@@ -14,7 +14,6 @@ from dataclasses import dataclass
 from enum import Enum
 from functools import cached_property
 
-from . import ratmat
 from .network import ReactionNetwork
 from .partitions import AdmissiblePartition, refines
 
@@ -142,6 +141,21 @@ class ReactionGraph:
         assert value >= 0, f"negative deficiency {value}"
         return value
 
+    def join_kind(self, i1: int, i2: int) -> StepKind:
+        """The step kind of joining nodes i1 and i2; raises unless they can join."""
+        for i in (i1, i2):
+            if not 1 <= i <= self.m:
+                raise ValueError(f"node {i} out of range 1..{self.m}")
+        if i1 == i2:
+            raise ValueError(f"cannot join node {i1} with itself")
+        if self.labels[i1 - 1] != self.labels[i2 - 1]:
+            a = self.network.complexes[self.labels[i1 - 1]].format(self.network.species)
+            b = self.network.complexes[self.labels[i2 - 1]].format(self.network.species)
+            raise ValueError(f"nodes {i1} ({a}) and {i2} ({b}) have different labels")
+        if self.component_of[i1 - 1] == self.component_of[i2 - 1]:
+            return StepKind.SAME_COMPONENT
+        return StepKind.DIFFERENT_COMPONENTS
+
 
 @dataclass(frozen=True)
 class GraphMorphism:
@@ -245,20 +259,7 @@ def join_nodes(g: ReactionGraph, i1: int, i2: int) -> tuple[ReactionGraph, StepK
     SAME_COMPONENT drops the deficiency by one, DIFFERENT_COMPONENTS
     keeps it. The resulting graph's blocks are canonically reordered.
     """
-    for i in (i1, i2):
-        if not 1 <= i <= g.m:
-            raise ValueError(f"node {i} out of range 1..{g.m}")
-    if i1 == i2:
-        raise ValueError(f"cannot join node {i1} with itself")
-    if g.labels[i1 - 1] != g.labels[i2 - 1]:
-        a = g.network.complexes[g.labels[i1 - 1]].format(g.network.species)
-        b = g.network.complexes[g.labels[i2 - 1]].format(g.network.species)
-        raise ValueError(f"nodes {i1} ({a}) and {i2} ({b}) have different labels")
-    kind = (
-        StepKind.SAME_COMPONENT
-        if g.component_of[i1 - 1] == g.component_of[i2 - 1]
-        else StepKind.DIFFERENT_COMPONENTS
-    )
+    kind = g.join_kind(i1, i2)
     merged = tuple(sorted(g.partition.blocks[i1 - 1] + g.partition.blocks[i2 - 1]))
     rest = [b for k, b in enumerate(g.partition.blocks) if k not in (i1 - 1, i2 - 1)]
     blocks = tuple(sorted(rest + [merged], key=min))

@@ -20,6 +20,7 @@ floats) or symbolic names.
 
 from __future__ import annotations
 
+import math
 import re
 from dataclasses import dataclass
 from fractions import Fraction
@@ -191,6 +192,8 @@ def _check_rate(rate: RateValue, idx: int) -> None:
     elif isinstance(rate, float):
         if not rate > 0:
             raise ValueError(f"reaction r{idx} has nonpositive rate {rate}")
+        if not math.isfinite(rate):
+            raise ValueError(f"reaction r{idx} has rate {rate} that is not finite")
     elif isinstance(rate, str):
         if not _NAME_RE.fullmatch(rate):
             raise ValueError(f"reaction r{idx} has malformed rate symbol {rate!r}")
@@ -214,6 +217,8 @@ def _parse_rate(token: str, lineno: int) -> RateValue:
             value = float(token)
         except ValueError:
             raise ParseError(f"line {lineno}: cannot parse rate {token!r}") from None
+        if not math.isfinite(value):
+            raise ParseError(f"line {lineno}: rate {token!r} is not finite")
     if not value > 0:
         raise ParseError(f"line {lineno}: nonpositive rate {token!r}")
     return value

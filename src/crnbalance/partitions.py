@@ -13,10 +13,9 @@ from __future__ import annotations
 
 import itertools
 import json
-import os
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Iterable, Iterator, Sequence
+from typing import Iterator, Sequence
 
 from .network import ReactionNetwork
 
@@ -183,10 +182,10 @@ def enumerate_admissible_partitions(
     The stream is the product of set-partition enumerations of the label
     classes (classes in complex order), so it is deterministic. Raises
     TooManyPartitionsError up front when the total would exceed
-    max_count (default: CRN_MAX_PARTITIONS env var or 100000).
+    max_count (default: DEFAULT_MAX_PARTITIONS, 100000).
     """
     if max_count is None:
-        max_count = int(os.environ.get("CRN_MAX_PARTITIONS", DEFAULT_MAX_PARTITIONS))
+        max_count = DEFAULT_MAX_PARTITIONS
     if max_count <= 0:
         raise ValueError(f"max_count must be positive, got {max_count}")
     total = count_admissible_partitions(net)

@@ -9,24 +9,20 @@ stoichiometric data are exact and deterministic.
 from __future__ import annotations
 
 from fractions import Fraction
-from math import gcd, lcm
+from math import lcm
 from typing import Sequence
 
 Matrix = Sequence[Sequence[Fraction | int]]
 
 
-def _copy(mat: Matrix) -> list[list[Fraction]]:
-    return [[Fraction(x) for x in row] for row in mat]
-
-
-def rref(mat: Matrix) -> tuple[list[list[Fraction]], list[int]]:
+def _rref(mat: Matrix) -> tuple[list[list[Fraction]], list[int]]:
     """Reduced row echelon form.
 
     Returns:
         (rows, pivot_columns). Pivoting always picks the first row with a
         nonzero entry, so the result is deterministic.
     """
-    rows = _copy(mat)
+    rows = [[Fraction(x) for x in row] for row in mat]
     if not rows:
         return rows, []
     ncols = len(rows[0])
@@ -51,20 +47,21 @@ def rref(mat: Matrix) -> tuple[list[list[Fraction]], list[int]]:
 
 
 def rank(mat: Matrix) -> int:
-    return len(rref(mat)[1])
+    return len(_rref(mat)[1])
 
 
-def nullspace(mat: Matrix) -> list[list[Fraction]]:
-    """Basis of the right kernel, one vector per free column.
+def nullspace(mat: Matrix) -> list[tuple[int, ...]]:
+    """Primitive integer basis of the right kernel, one vector per free column.
 
-    The vector for free column f has entry 1 at f and is otherwise
-    determined by the reduced echelon form; free columns are visited in
-    ascending order.
+    The vector for free column f is determined by the reduced echelon
+    form with entry 1 at f, then scaled by the lcm of its denominators;
+    that makes its entries coprime. The sign is fixed so the first
+    nonzero entry is positive. Free columns are visited in ascending order.
     """
     if not mat:
         return []
     ncols = len(mat[0])
-    rows, pivots = rref(mat)
+    rows, pivots = _rref(mat)
     free = [c for c in range(ncols) if c not in pivots]
     basis = []
     for f in free:
@@ -72,78 +69,11 @@ def nullspace(mat: Matrix) -> list[list[Fraction]]:
         vec[f] = Fraction(1)
         for r, c in enumerate(pivots):
             vec[c] = -rows[r][f]
-        basis.append(vec)
+        mult = lcm(*(x.denominator for x in vec))
+        if next(x for x in vec if x != 0) < 0:
+            mult = -mult
+        basis.append(tuple(int(x * mult) for x in vec))
     return basis
-
-
-def clear_denominators(vec: Sequence[Fraction | int]) -> list[int]:
-    """Scale a rational vector to a primitive integer vector.
-
-    Denominators are cleared, the gcd of the entries is divided out, and
-    the sign is fixed so the first nonzero entry is positive. The zero
-    vector maps to itself.
-    """
-    fracs = [Fraction(x) for x in vec]
-    mult = lcm(*(f.denominator for f in fracs)) if fracs else 1
-    ints = [int(f * mult) for f in fracs]
-    g = gcd(*ints) if any(ints) else 1
-    if g > 1:
-        ints = [x // g for x in ints]
-    lead = next((x for x in ints if x != 0), 0)
-    if lead < 0:
-        ints = [-x for x in ints]
-    return ints
-
-
-def integer_nullspace(mat: Matrix) -> list[list[int]]:
-    return [clear_denominators(v) for v in nullspace(mat)]
-
-
-def solve(mat: Matrix, rhs: Sequence[Fraction | int]) -> list[Fraction] | None:
-    """One solution of mat * x = rhs, or None if the system is inconsistent.
-
-    Free variables are set to zero, so the result is deterministic.
-    """
-    if len(mat) != len(rhs):
-        raise ValueError(f"matrix has {len(mat)} rows but rhs has {len(rhs)} entries")
-    if not mat:
-        return []
-    ncols = len(mat[0])
-    aug = [[Fraction(x) for x in row] + [Fraction(b)] for row, b in zip(mat, rhs)]
-    rows, pivots = rref(aug)
-    if ncols in pivots:
-        return None
-    sol = [Fraction(0)] * ncols
-    for r, c in enumerate(pivots):
-        sol[c] = rows[r][ncols]
-    return sol
-
-
-def in_column_space(mat: Matrix, vec: Sequence[Fraction | int]) -> bool:
-    return solve(mat, vec) is not None
-
-
-def bareiss_det(mat: Sequence[Sequence[int]]) -> int:
-    """Determinant of an integer matrix by fraction-free Bareiss elimination."""
-    n = len(mat)
-    if n == 0:
-        return 1
-    a = [list(map(int, row)) for row in mat]
-    sign = 1
-    prev = 1
-    for k in range(n - 1):
-        if a[k][k] == 0:
-            swap = next((i for i in range(k + 1, n) if a[i][k] != 0), None)
-            if swap is None:
-                return 0
-            a[k], a[swap] = a[swap], a[k]
-            sign = -sign
-        for i in range(k + 1, n):
-            for j in range(k + 1, n):
-                a[i][j] = (a[i][j] * a[k][k] - a[i][k] * a[k][j]) // prev
-            a[i][k] = 0
-        prev = a[k][k]
-    return sign * a[n - 1][n - 1]
 
 
 def det(mat: Matrix) -> Fraction:
@@ -158,20 +88,27 @@ def det(mat: Matrix) -> Fraction:
     if any(len(row) != n for row in mat):
         raise ValueError("determinant needs a square matrix")
     scale = Fraction(1)
-    int_rows = []
+    a = []
     for row in mat:
         fr = [Fraction(x) for x in row]
         mult = lcm(*(f.denominator for f in fr))
         scale *= mult
-        int_rows.append([int(f * mult) for f in fr])
-    return Fraction(bareiss_det(int_rows)) / scale
-
-
-def matmul(a: Matrix, b: Matrix) -> list[list]:
-    if a and b and len(a[0]) != len(b):
-        raise ValueError(f"cannot multiply {len(a)}x{len(a[0])} by {len(b)}x{len(b[0])}")
-    bt = list(zip(*b))
-    return [[sum(x * y for x, y in zip(row, col)) for col in bt] for row in a]
+        a.append([int(f * mult) for f in fr])
+    sign = 1
+    prev = 1
+    for k in range(n - 1):
+        if a[k][k] == 0:
+            swap = next((i for i in range(k + 1, n) if a[i][k] != 0), None)
+            if swap is None:
+                return Fraction(0)
+            a[k], a[swap] = a[swap], a[k]
+            sign = -sign
+        for i in range(k + 1, n):
+            for j in range(k + 1, n):
+                a[i][j] = (a[i][j] * a[k][k] - a[i][k] * a[k][j]) // prev
+            a[i][k] = 0
+        prev = a[k][k]
+    return Fraction(sign * a[n - 1][n - 1]) / scale
 
 
 def matvec(a: Matrix, v: Sequence) -> list:

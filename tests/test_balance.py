@@ -20,6 +20,7 @@ from crnbalance import (
     canonical_split_graph,
     check_kappa_balanced,
     decomposition_check,
+    enumerate_admissible_partitions,
     graph_from_partition,
     incremental_condition,
     inclusion_morphism,
@@ -481,6 +482,30 @@ def test_incremental_verdict_equivalence(table1):
         whole = check_kappa_balanced(table1[4], kappa).balanced
         split = check_kappa_balanced(joined, kappa).balanced and cond.holds(kappa)
         assert whole == split
+
+
+def test_every_running_join_separates_finer_from_coarser_balance(running):
+    # every same-label join of every weakly reversible graph of running
+    rng = random.Random(68)
+    graphs = [graph_from_partition(running, p) for p in enumerate_admissible_partitions(running)]
+    joins = 0
+    for g in (g for g in graphs if g.is_weakly_reversible):
+        for i1 in range(1, g.m + 1):
+            for i2 in range(i1 + 1, g.m + 1):
+                if g.labels[i1 - 1] != g.labels[i2 - 1]:
+                    continue
+                cond = incremental_condition(g, i1, i2)
+                joined, kind = join_nodes(g, i1, i2)
+                assert kind is cond.kind and joined.is_weakly_reversible
+                kappas = [helpers.balanced_kappa(rng, g)[0] for _ in range(3)]
+                kappas += [helpers.balanced_kappa(rng, joined)[0] for _ in range(3)]
+                kappas += [helpers.random_kappa(rng, running.p) for _ in range(2)]
+                for kappa in kappas:
+                    fine = check_kappa_balanced(g, kappa).balanced
+                    coarse = check_kappa_balanced(joined, kappa).balanced
+                    assert fine == (coarse and cond.holds(kappa))
+                joins += 1
+    assert joins == 12  # 8 within one component, 4 across two
 
 
 def test_fig2_incremental_conditions(fig2_graphs):

@@ -85,13 +85,6 @@ def test_graphs_enumerate_rejects_exceeded_cap(capsys):
     assert err.startswith("error:") and "900" in err
 
 
-def test_graphs_enumerate_env_cap(monkeypatch, capsys):
-    monkeypatch.setenv("CRN_MAX_PARTITIONS", "10")
-    code, _ = run_cli("graphs", "enumerate", RUNNING)
-    assert code == 2
-    assert "900" in capsys.readouterr().err
-
-
 def test_graph_info_reports_cayley_and_kernel():
     code, report = run_json("graph", "info", RUNNING, "--partition", P4)
     assert code == 0
@@ -329,6 +322,25 @@ def test_incremental_rejects_bad_join(capsys):
     code, _ = run_cli("incremental", RUNNING, "--partition", P4, "--join", "3,6")
     assert code == 2
     assert "out of range" in capsys.readouterr().err
+
+
+def test_incremental_rejects_nonpositive_kappa(capsys):
+    code, out = run_cli(
+        "incremental", f"{DATA}/running.crn", "--partition", f"{DATA}/p3.json",
+        "--join", "3,6", "--kappa=-1,0,1,1,2,2",
+    )
+    assert code == 2
+    assert out == ""
+    assert "kappa[0] = -1 is not positive" in capsys.readouterr().err
+
+
+def test_balance_check_rejects_an_infinite_file_rate(tmp_path, capsys):
+    path = tmp_path / "inf.crn"
+    path.write_text("r1: A -> B @ 1e999\nr2: B -> A @ k2\n")
+    code, out = run_cli("balance", "check", str(path), "--kappa", '{"k2": 1}')
+    assert code == 2
+    assert out == ""
+    assert "not finite" in capsys.readouterr().err
 
 
 def test_missing_file_is_a_clean_error(capsys):

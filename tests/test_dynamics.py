@@ -61,7 +61,7 @@ def test_simulate_matches_reference_integrator(running):
 
 def test_simulate_flags_steady_state(ab):
     trace = simulate(
-        ab, (3.0, 0.0), t_end=40.0, adaptive=True, tol=1e-10, steady_tol=1e-8
+        ab, (3.0, 0.0), t_end=40.0, adaptive=True, tol=1e-10
     )
     assert trace.steady
     assert trace.times[-1] < 40.0

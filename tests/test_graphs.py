@@ -72,7 +72,7 @@ def test_stoichiometric_matrix_factors_through_incidence(table1):
             [g.label_vector(node)[i] for node in range(1, g.m + 1)]
             for i in range(g.network.n)
         ]
-        prod = ratmat.matmul(y, g.incidence_matrix)
+        prod = [ratmat.matvec(ratmat.transpose(g.incidence_matrix), row) for row in y]
         expected = [list(row) for row in g.network.stoichiometric_matrix]
         assert [[int(v) for v in row] for row in prod] == expected
 
@@ -158,7 +158,8 @@ def test_morphism_matrix_transforms_incidence(table1):
     rng = random.Random(44)
     phi = inclusion_morphism(table1[1], table1[4])
     b = phi.matrix
-    prod = ratmat.matmul(b, table1[4].incidence_matrix)
+    cols = ratmat.transpose(table1[4].incidence_matrix)
+    prod = [ratmat.matvec(cols, row) for row in b]
     assert [[int(v) for v in row] for row in prod] == [
         [int(v) for v in row] for row in table1[1].incidence_matrix
     ]
@@ -170,7 +171,8 @@ def test_morphism_matrix_transforms_incidence(table1):
         g_coarse = graph_from_partition(net, coarse)
         phi = inclusion_morphism(g_coarse, g_fine)
         assert phi.source is g_fine and phi.target is g_coarse
-        prod = ratmat.matmul(phi.matrix, g_fine.incidence_matrix)
+        cols = ratmat.transpose(g_fine.incidence_matrix)
+        prod = [ratmat.matvec(cols, row) for row in phi.matrix]
         assert [[int(v) for v in r] for r in prod] == [
             [int(v) for v in r] for r in g_coarse.incidence_matrix
         ]

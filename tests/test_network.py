@@ -84,6 +84,7 @@ def test_parse_rates_integer_fraction_float_symbol():
         ("species: A\nr1: A -> B @ 1\n", "not in the species"),
         ("# only a comment\n", "no reactions"),
         ("r1: A -> B @ 1/0\n", "zero denominator"),
+        ("r1: A -> B @ 1e999\n", "not finite"),
     ],
 )
 def test_parse_errors(text, fragment):
@@ -129,6 +130,8 @@ def test_validation_rejects_bad_networks():
             (Complex((1, 0, 0)), Complex((0, 1, 0))),
             (Reaction(0, 1, Fraction(1)),),
         )
+    with pytest.raises(ValueError, match="not finite"):
+        ReactionNetwork(("A", "B"), (a, b), (Reaction(0, 1, float("inf")),))
 
 
 def test_numeric_kappa_paths(running, ab):

@@ -1,7 +1,8 @@
 """Guards on the names that other code reaches.
 
-The package root must export what it lists, and the benchmark under
-``perfbench/`` must still find every function it wraps or calls.
+The package root must export what it lists, the benchmark under
+``perfbench/`` must still find every function it wraps or calls, and the
+exact linear algebra stays behind the five names of ``ratmat``.
 """
 
 from __future__ import annotations
@@ -9,11 +10,16 @@ from __future__ import annotations
 import ast
 import importlib
 import importlib.util
+import inspect
 import json
+import math
+import random
 import types
+from fractions import Fraction
 from pathlib import Path
 
 import crnbalance
+from crnbalance import ratmat
 
 ROOT = Path(__file__).resolve().parents[1]
 
@@ -60,3 +66,24 @@ def test_benchmark_tracer_and_loader_find_their_names():
     pnets, graphs, splits = loader.load(mods, spec)
     assert graphs[0].network is pnets[0] and graphs[0].m == 5
     assert splits[0].subsets == ((1, 2, 6),)
+
+
+def test_ratmat_keeps_five_public_functions_and_a_primitive_kernel():
+    public = {
+        name
+        for name, obj in vars(ratmat).items()
+        if inspect.isfunction(obj) and obj.__module__ == ratmat.__name__
+        and not name.startswith("_")
+    }
+    assert public == {"rank", "nullspace", "det", "matvec", "transpose"}
+    rng = random.Random(5)
+    for _ in range(30):
+        cols = rng.randint(2, 5)
+        mat = [
+            [Fraction(rng.randint(-4, 4), rng.randint(1, 3)) for _ in range(cols)]
+            for _ in range(rng.randint(1, 3))
+        ]
+        for vec in ratmat.nullspace(mat):
+            assert isinstance(vec, tuple)
+            assert all(type(v) is int for v in vec)
+            assert math.gcd(*vec) == 1
