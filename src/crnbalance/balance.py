@@ -418,6 +418,7 @@ def omega_symmetry_check(g: ReactionGraph, x: Sequence, kappa: Sequence | None =
 class IncrementalCondition:
     """Extra balance identity created by joining two equally labeled nodes."""
 
+    graph: ReactionGraph
     kind: StepKind
     node_pair: tuple[int, int]
     lhs: KPoly | None
@@ -428,9 +429,7 @@ class IncrementalCondition:
         return self.kind is StepKind.SAME_COMPONENT
 
     def holds(self, kappa: Sequence) -> bool:
-        kap = [Fraction(k) for k in kappa]
-        if not all(k > 0 for k in kap):
-            raise ValueError("rate constants must be positive")
+        kap = _exact_kappa(self.graph, kappa)
         if self.lhs is None:
             return True
         return self.lhs.evaluate(kap) == self.rhs.evaluate(kap)
@@ -445,10 +444,10 @@ def incremental_condition(g: ReactionGraph, i1: int, i2: int) -> IncrementalCond
     """
     _require_weakly_reversible(g, "incremental_condition")
     if g.join_kind(i1, i2) is StepKind.DIFFERENT_COMPONENTS:
-        return IncrementalCondition(StepKind.DIFFERENT_COMPONENTS, (i1, i2), None, None)
+        return IncrementalCondition(g, StepKind.DIFFERENT_COMPONENTS, (i1, i2), None, None)
     trees = tree_constants_symbolic(g)
     lhs, rhs = cancel_common_content(trees.polys[i1 - 1], trees.polys[i2 - 1])
-    return IncrementalCondition(StepKind.SAME_COMPONENT, (i1, i2), lhs, rhs)
+    return IncrementalCondition(g, StepKind.SAME_COMPONENT, (i1, i2), lhs, rhs)
 
 
 def positive_kernel_flux(g: ReactionGraph, weights: Sequence | None = None) -> list[Fraction]:

@@ -280,6 +280,9 @@ def birch_point(
 def class_deviation(net: ReactionNetwork, x: Sequence, x0: Sequence) -> float:
     """Distance of x - x0 from the stoichiometric subspace (infinity norm
     of the orthogonal-complement coordinates)."""
+    for name, vec in (("x", x), ("x0", x0)):
+        if len(vec) != net.n:
+            raise ValueError(f"{name} has {len(vec)} entries, network has {net.n} species")
     _, u_perp = _stoichiometric_bases(net)
     diff = np.array([float(a) - float(b) for a, b in zip(x, x0)])
     if u_perp.shape[1] == 0:

@@ -210,28 +210,21 @@ def canonical_split_graph(net: ReactionNetwork) -> ReactionGraph:
 
 def canonical_complex_graph(net: ReactionNetwork) -> ReactionGraph:
     """Coarsest graph: one node per complex, in network numbering."""
-    classes: dict[int, list[int]] = {}
-    for idx, lab in enumerate(net.split_labels, start=1):
-        classes.setdefault(lab, []).append(idx)
-    blocks = tuple(tuple(classes[c]) for c in sorted(classes))
-    return graph_from_partition(net, AdmissiblePartition(net, blocks))
+    return graph_from_partition(net, AdmissiblePartition(net, net.split_classes))
 
 
 def detailed_graph(net: ReactionNetwork) -> ReactionGraph:
     """One 2-node component per reversible pair, one per irreversible reaction."""
-    back_of = {rev: b for b, rev in enumerate(net.reverse_index) if rev is not None}
-    blocks: list[tuple[int, ...]] = []
-    for j in range(net.p):
-        if net.reverse_index[j] is not None:
-            continue
-        if j in back_of:
-            b = back_of[j]
-            blocks.append((2 * j + 1, 2 * b + 1))
-            blocks.append((2 * j + 2, 2 * b + 2))
-        else:
-            blocks.append((2 * j + 1,))
-            blocks.append((2 * j + 2,))
-    ordered = tuple(sorted(blocks, key=min))
+    # a reverse reaction's source joins the target of the reaction it reverses
+    root = list(range(2 * net.p + 1))
+    for b, rev in enumerate(net.reverse_index):
+        if rev is not None:
+            root[net.split_sources[b]] = net.split_targets[rev]
+            root[net.split_targets[b]] = net.split_sources[rev]
+    blocks: dict[int, list[int]] = {}
+    for idx in range(1, 2 * net.p + 1):
+        blocks.setdefault(root[idx], []).append(idx)
+    ordered = tuple(tuple(b) for b in blocks.values())  # entered at their smallest index
     return graph_from_partition(net, AdmissiblePartition(net, ordered))
 
 

@@ -15,14 +15,7 @@ from typing import Sequence
 
 from .balance import node_balance_residual, residual_is_zero
 from .graphs import ReactionGraph, canonical_complex_graph
-from .network import (
-    Complex,
-    RateValue,
-    Reaction,
-    ReactionNetwork,
-    mass_action_rates,
-    numeric_kappa,
-)
+from .network import RateValue, ReactionNetwork, mass_action_rates, numeric_kappa
 
 
 class LiftError(ValueError):
@@ -104,15 +97,6 @@ def lift_network(net: ReactionNetwork, g: ReactionGraph) -> LiftedNetwork:
     )
     nvars = net.n * m
 
-    complexes: list[tuple[int, ...]] = []
-    index_of: dict[tuple[int, ...], int] = {}
-
-    def intern(coeffs: tuple[int, ...]) -> int:
-        if coeffs not in index_of:
-            index_of[coeffs] = len(complexes)
-            complexes.append(coeffs)
-        return index_of[coeffs]
-
     def node_complex(j: int) -> tuple[int, ...]:
         label = g.label_vector(j)
         coeffs = [0] * nvars
@@ -120,12 +104,10 @@ def lift_network(net: ReactionNetwork, g: ReactionGraph) -> LiftedNetwork:
             coeffs[i * m + (j - 1)] = coeff
         return tuple(coeffs)
 
-    reactions: list[Reaction] = []
-    for k, (a, b) in enumerate(g.edges):
-        reactions.append(
-            Reaction(intern(node_complex(a)), intern(node_complex(b)), net.reactions[k].rate)
-        )
-    node_index = tuple(index_of[node_complex(j)] for j in range(1, m + 1))
+    triples = [
+        (node_complex(a), node_complex(b), net.reactions[k].rate)
+        for k, (a, b) in enumerate(g.edges)
+    ]
     for i in range(net.n):
         for j in range(1, m + 1):
             for j2 in range(1, m + 1):
@@ -135,13 +117,12 @@ def lift_network(net: ReactionNetwork, g: ReactionGraph) -> LiftedNetwork:
                 src[i * m + (j - 1)] = epsilon
                 tgt = [0] * nvars
                 tgt[i * m + (j2 - 1)] = epsilon
-                reactions.append(
-                    Reaction(intern(tuple(src)), intern(tuple(tgt)), Fraction(1))
-                )
-    lifted = ReactionNetwork(
-        species, tuple(Complex(c) for c in complexes), tuple(reactions)
-    )
-    return LiftedNetwork(net, g, epsilon, lifted, node_index)
+                triples.append((src, tgt, Fraction(1)))
+    lifted = ReactionNetwork.assemble(species, triples)
+    node_index = [0] * m  # every node ends an edge; its lifted complex ends that reaction
+    for r, (a, b) in zip(lifted.reactions, g.edges):
+        node_index[a - 1], node_index[b - 1] = r.source, r.target
+    return LiftedNetwork(net, g, epsilon, lifted, tuple(node_index))
 
 
 @dataclass(frozen=True)

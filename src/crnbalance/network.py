@@ -25,7 +25,7 @@ import re
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
-from typing import Sequence, Union
+from typing import Iterable, Sequence, Union
 
 from . import ratmat
 
@@ -182,18 +182,44 @@ class ReactionNetwork:
             2 * j + 2 if rev is None else 2 * j + 1 for j, rev in enumerate(self.reverse_index)
         )
 
+    @cached_property
+    def split_classes(self) -> tuple[tuple[int, ...], ...]:
+        """1-based split indices labeled by each complex, in complex order."""
+        classes: list[list[int]] = [[] for _ in self.complexes]
+        for idx, lab in enumerate(self.split_labels, start=1):
+            classes[lab].append(idx)
+        return tuple(tuple(c) for c in classes)
+
+    @classmethod
+    def assemble(
+        cls,
+        species: Sequence[str],
+        reactions: Iterable[tuple[Sequence[int], Sequence[int], RateValue]],
+    ) -> "ReactionNetwork":
+        """The validated network of (source coefficients, target coefficients, rate)
+        triples; complexes are numbered by first appearance, source before target."""
+        ids: dict[tuple[int, ...], int] = {}
+        edges = []
+        for source, target, rate in reactions:
+            s = ids.setdefault(tuple(source), len(ids))
+            edges.append(Reaction(s, ids.setdefault(tuple(target), len(ids)), rate))
+        return cls(tuple(species), tuple(Complex(cx) for cx in ids), tuple(edges))
+
+
+def _check_number(value, name: str) -> None:
+    """The rule for a numeric rate or kappa entry: not a bool, finite if a
+    float, and positive. Exact values of any size pass."""
+    if isinstance(value, bool):
+        raise ValueError(f"{name} = {value!r} is a bool, not a number")
+    if not value > 0:
+        raise ValueError(f"{name} = {value} is not positive")
+    if isinstance(value, float) and not math.isfinite(value):
+        raise ValueError(f"{name} = {value} is not finite")
+
 
 def _check_rate(rate: RateValue, idx: int) -> None:
-    if isinstance(rate, bool):
-        raise ValueError(f"reaction r{idx} has invalid rate {rate!r}")
-    if isinstance(rate, (int, Fraction)):
-        if rate <= 0:
-            raise ValueError(f"reaction r{idx} has nonpositive rate {rate}")
-    elif isinstance(rate, float):
-        if not rate > 0:
-            raise ValueError(f"reaction r{idx} has nonpositive rate {rate}")
-        if not math.isfinite(rate):
-            raise ValueError(f"reaction r{idx} has rate {rate} that is not finite")
+    if isinstance(rate, (int, float, Fraction)):
+        _check_number(rate, f"reaction r{idx} rate")
     elif isinstance(rate, str):
         if not _NAME_RE.fullmatch(rate):
             raise ValueError(f"reaction r{idx} has malformed rate symbol {rate!r}")
@@ -313,28 +339,26 @@ def parse_network(text: str) -> ReactionNetwork:
         species = tuple(appearance)
 
     index = {name: i for i, name in enumerate(species)}
-    complexes: list[Complex] = []
-    complex_ids: dict[tuple[int, ...], int] = {}
-    reactions: list[Reaction] = []
+
+    def coeffs(cx: dict[str, int]) -> tuple[int, ...]:
+        vec = [0] * len(species)
+        for name, coeff in cx.items():
+            vec[index[name]] = coeff
+        return tuple(vec)
+
+    triples = []
+    pairs = set()
     for source, target, rate, lineno in raw_reactions:
-        pair = []
-        for cx in (source, target):
-            coeffs = [0] * len(species)
-            for name, coeff in cx.items():
-                coeffs[index[name]] = coeff
-            key = tuple(coeffs)
-            if key not in complex_ids:
-                complex_ids[key] = len(complexes)
-                complexes.append(Complex(key))
-            pair.append(complex_ids[key])
+        pair = (coeffs(source), coeffs(target))
         if pair[0] == pair[1]:
             raise ParseError(f"line {lineno}: self-loop reaction")
-        if any(r.source == pair[0] and r.target == pair[1] for r in reactions):
+        if pair in pairs:
             raise ParseError(f"line {lineno}: duplicate reaction")
-        reactions.append(Reaction(pair[0], pair[1], rate))
+        pairs.add(pair)
+        triples.append((*pair, rate))
 
     try:
-        return ReactionNetwork(species, tuple(complexes), tuple(reactions))
+        return ReactionNetwork.assemble(species, triples)
     except ValueError as exc:
         raise ParseError(str(exc)) from None
 
@@ -374,8 +398,7 @@ def numeric_kappa(net: ReactionNetwork, kappa: Sequence | None = None) -> list:
     if len(kappa) != net.p:
         raise ValueError(f"kappa has {len(kappa)} entries, network has {net.p} reactions")
     for k, val in enumerate(kappa):
-        if not val > 0:
-            raise ValueError(f"kappa[{k}] = {val} is not positive")
+        _check_number(val, f"kappa[{k}]")
     return list(kappa)
 
 

@@ -164,13 +164,9 @@ def bell_number(n: int) -> int:
 
 
 def count_admissible_partitions(net: ReactionNetwork) -> int:
-    labels = net.split_labels
-    sizes: dict[int, int] = {}
-    for lab in labels:
-        sizes[lab] = sizes.get(lab, 0) + 1
     count = 1
-    for size in sizes.values():
-        count *= bell_number(size)
+    for members in net.split_classes:
+        count *= bell_number(len(members))
     return count
 
 
@@ -193,13 +189,10 @@ def enumerate_admissible_partitions(
         raise TooManyPartitionsError(
             f"{total} admissible partitions exceed the cap {max_count}"
         )
-    classes: dict[int, list[int]] = {}
-    for idx, lab in enumerate(net.split_labels, start=1):
-        classes.setdefault(lab, []).append(idx)
     # each class's set partitions once; product() keeps the first class outermost
     per_class = [
-        [tuple(tuple(b) for b in parts) for parts in _set_partitions(classes[lab])]
-        for lab in sorted(classes)
+        [tuple(tuple(b) for b in parts) for parts in _set_partitions(members)]
+        for members in net.split_classes
     ]
     for choice in itertools.product(*per_class):
         blocks = tuple(sorted(itertools.chain.from_iterable(choice)))

@@ -14,7 +14,7 @@ from typing import Sequence
 
 from .balance import state_is_balanced
 from .graphs import ReactionGraph, graph_from_partition
-from .network import Complex, Reaction, ReactionNetwork, numeric_kappa
+from .network import ReactionNetwork, numeric_kappa
 from .partitions import AdmissiblePartition
 
 
@@ -81,52 +81,21 @@ def subnetwork(net: ReactionNetwork, reactions: Sequence[int]) -> Subnetwork:
     for j in indices:
         if not 1 <= j <= net.p:
             raise SplitError(f"reaction index {j} outside 1..{net.p}")
-    used_complexes: list[int] = []
-    for j in indices:
-        r = net.reactions[j - 1]
-        for c in (r.source, r.target):
-            if c not in used_complexes:
-                used_complexes.append(c)
+    kept = [net.reactions[j - 1] for j in indices]
     species_indices = tuple(
         i
         for i in range(net.n)
-        if any(net.complexes[c].coeffs[i] for c in used_complexes)
+        if any(net.complexes[c].coeffs[i] for r in kept for c in (r.source, r.target))
     )
-    species = tuple(net.species[i] for i in species_indices)
-    complexes = tuple(
-        Complex(tuple(net.complexes[c].coeffs[i] for i in species_indices))
-        for c in used_complexes
+
+    def project(c: int) -> tuple[int, ...]:
+        return tuple(net.complexes[c].coeffs[i] for i in species_indices)
+
+    sub = ReactionNetwork.assemble(
+        tuple(net.species[i] for i in species_indices),
+        ((project(r.source), project(r.target), r.rate) for r in kept),
     )
-    renumber = {c: k for k, c in enumerate(used_complexes)}
-    reactions_new = tuple(
-        Reaction(
-            renumber[net.reactions[j - 1].source],
-            renumber[net.reactions[j - 1].target],
-            net.reactions[j - 1].rate,
-        )
-        for j in indices
-    )
-    sub = ReactionNetwork(species, complexes, reactions_new)
     return Subnetwork(net, sub, indices, species_indices)
-
-
-def _translate_split_index(
-    net: ReactionNetwork, sub: Subnetwork, original: int
-) -> int | None:
-    """Parent split index -> split index of the subnetwork, None if dropped.
-
-    Reversibility pairings can differ between parent and subnetwork (a
-    pair may lose its partner), so source/target roles are translated,
-    not raw positions.
-    """
-    j = (original - 1) // 2 + 1
-    try:
-        k = sub.reaction_indices.index(j) + 1
-    except ValueError:
-        return None
-    if original == net.split_sources[j - 1]:
-        return sub.network.split_sources[k - 1]
-    return sub.network.split_targets[k - 1]
 
 
 @dataclass(frozen=True)
@@ -172,32 +141,28 @@ def induced_graphs(g: ReactionGraph, split: SubnetworkSplit) -> InducedGraphs:
     net = g.network
     if split.network != net:
         raise SplitError("split belongs to a different network")
+    block_of = g.partition.block_of
     parts: list[InducedPart] = []
-    for subset in split.parts:
+    refined: dict[tuple[int, int], list[int]] = {}
+    for i, subset in enumerate(split.parts):
         sub = subnetwork(net, subset)
         block_map: dict[int, list[int]] = {}
-        for block_index, block in enumerate(g.partition.blocks):
-            for original in block:
-                translated = _translate_split_index(net, sub, original)
-                if translated is not None:
-                    block_map.setdefault(block_index, []).append(translated)
-        blocks = tuple(
-            tuple(sorted(block_map[i])) for i in sorted(block_map)
-        )
+        for k, j in enumerate(sub.reaction_indices):
+            # translate roles, not positions: a reversible pair may lose its partner
+            roles = (
+                (net.split_sources[j - 1], sub.network.split_sources[k]),
+                (net.split_targets[j - 1], sub.network.split_targets[k]),
+            )
+            for original, translated in roles:
+                node = block_of[original]
+                block_map.setdefault(node, []).append(translated)
+                refined.setdefault((node, i), []).append(original)
+        blocks = tuple(tuple(block_map[b]) for b in sorted(block_map))
         part_graph = graph_from_partition(
             sub.network, AdmissiblePartition(sub.network, blocks)
         )
         parts.append(InducedPart(sub.reaction_indices, sub, part_graph))
 
-    membership = {}
-    for i, subset in enumerate(split.parts):
-        for j in subset:
-            membership[net.split_sources[j - 1]] = i
-            membership[net.split_targets[j - 1]] = i
-    refined: dict[tuple[int, int], list[int]] = {}
-    for block_index, block in enumerate(g.partition.blocks):
-        for original in block:
-            refined.setdefault((block_index, membership[original]), []).append(original)
     blocks = tuple(tuple(sorted(b)) for b in refined.values())
     union = graph_from_partition(
         net, AdmissiblePartition(net, blocks).canonical()

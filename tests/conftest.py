@@ -7,6 +7,7 @@ from pathlib import Path
 import pytest
 
 from crnbalance import (
+    enumerate_admissible_partitions,
     graph_from_partition,
     parse_network,
     partition_from_json,
@@ -32,6 +33,15 @@ def running():
 @pytest.fixture(scope="session")
 def table1(running):
     return {i: load_graph(running, f"p{i}.json") for i in range(1, 8)}
+
+
+@pytest.fixture(scope="session")
+def running_wr_graphs(running):
+    """The 9 weakly reversible graphs of the running example, in enumeration order."""
+    every = (graph_from_partition(running, p) for p in enumerate_admissible_partitions(running))
+    graphs = tuple(g for g in every if g.is_weakly_reversible)
+    assert len(graphs) == 9
+    return graphs
 
 
 @pytest.fixture(scope="session")

@@ -470,6 +470,27 @@ def test_incremental_condition_validates_inputs(table1):
         incremental_condition(table1[6], 9, 10)
 
 
+@pytest.mark.parametrize(
+    "entry", [float("inf"), True, Fraction(-1)], ids=["inf", "bool", "negative"]
+)
+def test_kappa_entry_rule_in_checks_and_joins(running, table1, entry):
+    kappa = [entry, 1, 1, 1, 2, 2]
+    with pytest.raises(ValueError, match=r"kappa\[0\]"):
+        check_kappa_balanced(canonical_complex_graph(running), kappa)
+    for g, pair in ((table1[4], (1, 5)), (table1[3], (3, 6))):  # with and without a condition
+        with pytest.raises(ValueError, match=r"kappa\[0\]"):
+            incremental_condition(g, *pair).holds(kappa)
+    with pytest.raises(ValueError, match="6 reactions"):
+        incremental_condition(table1[4], 1, 5).holds(KPRIME[:5])
+
+
+def test_exact_kappa_of_any_size_is_checked(running):
+    huge = Fraction(10) ** 400
+    g = canonical_complex_graph(running)
+    assert check_kappa_balanced(g, [huge * k for k in KPRIME]).balanced
+    assert not check_kappa_balanced(g, [huge] + KPRIME[1:]).balanced
+
+
 def test_incremental_verdict_equivalence(table1):
     rng = random.Random(66)
     cond = incremental_condition(table1[4], 1, 5)

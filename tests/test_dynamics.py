@@ -158,6 +158,11 @@ def test_simulate_rejects_bad_inputs(ab, x0, t_end, message):
         simulate(ab, x0, t_end=t_end)
 
 
+def test_simulate_rejects_an_infinite_kappa(running):
+    with pytest.raises(ValueError, match="not finite"):
+        simulate(running, (1.0, 2.0), [float("inf"), 1, 1, 1, 2, 2], t_end=1.0)
+
+
 def test_simulate_stops_at_max_steps(ab):
     trace = simulate(ab, (3.0, 0.0), t_end=5.0, dt=1e-5, max_steps=10)
     assert trace.steps == 10
@@ -279,3 +284,13 @@ def test_class_deviation_zero_on_the_class(ab, running):
     # off the line x_A + x_B = 3 by 1, projected on the unit normal
     assert class_deviation(ab, (1.0, 1.0), (3.0, 0.0)) == pytest.approx(1 / math.sqrt(2))
     assert class_deviation(running, (0.5, 1.5), (2.0, 0.0)) == pytest.approx(0.0)
+
+
+@pytest.mark.parametrize(
+    "x, x0",
+    [((1.0, 2.0), (1.0, 2.0, 99.0)), ((1.0,), (1.0, 2.0)), ((), ())],
+    ids=["long x0", "short x", "empty"],
+)
+def test_class_deviation_checks_lengths(running, x, x0):
+    with pytest.raises(ValueError, match="network has 2 species"):
+        class_deviation(running, x, x0)

@@ -121,11 +121,16 @@ def test_component_listing_table1(table1):
     assert table1[7].n_components == 6
 
 
-def test_detailed_graph_pairs_reversible_reactions(running, fig2):
+def test_detailed_graph_pairs_reversible_reactions(ab, running, fig2):
+    assert detailed_graph(ab).partition.blocks == ((1, 3), (2, 4))
     d = detailed_graph(running)
-    blocks = set(d.partition.blocks)
-    assert (9, 11) in blocks and (10, 12) in blocks
+    assert d.partition.blocks == (
+        (1,), (2,), (3,), (4,), (5,), (6,), (7,), (8,), (9, 11), (10, 12),
+    )
     d2 = detailed_graph(fig2)
+    assert d2.partition.blocks == (
+        (1, 3), (2, 4), (5, 7), (6, 8), (9, 11), (10, 12), (13,), (14,), (15,), (16,),
+    )
     assert d2.n_components == 5
     assert d2.m == 10
     # the fully reversible pairs are strongly connected two-cycles, the

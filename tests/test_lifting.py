@@ -101,9 +101,10 @@ def test_lift_rejects_foreign_graph(running, table1, ab):
         lift_network(ab, table1[4])
 
 
-def test_lifted_network_round_trips_through_text(running, table1):
-    lift = lift_network(running, table1[4])
-    assert parse_network(format_network(lift.network)) == lift.network
+def test_lifted_network_round_trips_through_text(running, running_wr_graphs):
+    for g in running_wr_graphs:
+        lift = lift_network(running, g)
+        assert parse_network(format_network(lift.network)) == lift.network
 
 
 def test_verify_lift_at_balanced_states(running, table1):

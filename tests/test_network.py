@@ -132,6 +132,8 @@ def test_validation_rejects_bad_networks():
         )
     with pytest.raises(ValueError, match="not finite"):
         ReactionNetwork(("A", "B"), (a, b), (Reaction(0, 1, float("inf")),))
+    with pytest.raises(ValueError, match="bool"):
+        ReactionNetwork(("A", "B"), (a, b), (Reaction(0, 1, True),))
 
 
 def test_numeric_kappa_paths(running, ab):
@@ -144,6 +146,21 @@ def test_numeric_kappa_paths(running, ab):
         numeric_kappa(running, [1, 2])
     with pytest.raises(ValueError, match="not positive"):
         numeric_kappa(running, [1, 2, 3, 4, 5, 0])
+
+
+@pytest.mark.parametrize(
+    "entry, message",
+    [
+        (float("inf"), r"kappa\[0\] = inf is not finite"),
+        (float("nan"), "not positive"),
+        (True, r"kappa\[0\] = True is a bool"),
+        (Fraction(0), "not positive"),
+    ],
+    ids=["inf", "nan", "bool", "zero"],
+)
+def test_numeric_kappa_rejects_bad_entries(running, entry, message):
+    with pytest.raises(ValueError, match=message):
+        numeric_kappa(running, [entry, 1, 1, 1, 2, 2])
 
 
 def test_mass_action_rates_exact(running):

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import itertools
 import random
 from fractions import Fraction
 
@@ -13,9 +14,11 @@ from crnbalance import (
     SubnetworkSplit,
     decomposition_check,
     equivalent,
+    format_network,
     induced_graphs,
     mass_action_rates,
     node_balance_residual,
+    parse_network,
     refines,
     subnetwork,
 )
@@ -64,6 +67,37 @@ def test_subnetwork_keeps_reaction_order_and_rates(running):
     assert sub.reaction_indices == (1, 6)
     assert sub.network.p == 2
     assert sub.network.species == ("X1", "X2")
+
+
+def _reaction_subsets(p):
+    return [c for r in range(1, p + 1) for c in itertools.combinations(range(1, p + 1), r)]
+
+
+def test_subnetworks_number_complexes_as_parsing_does(running):
+    subsets = _reaction_subsets(running.p)
+    assert len(subsets) == 63
+    for subset in subsets:
+        sub = subnetwork(running, subset).network
+        assert parse_network(format_network(sub)) == sub
+
+
+def test_induced_part_nodes_follow_the_graph_nodes(running, running_wr_graphs):
+    """A (reaction, role) pair sits on a part node; two pairs share one exactly
+    when they share a node of g, and the part node carries that node's label."""
+    for g in running_wr_graphs:
+        for subset in _reaction_subsets(running.p):
+            induced = induced_graphs(g, SubnetworkSplit(running, (subset,)))
+            for part in induced.parts:
+                g_node_of = {}
+                for k, j in enumerate(part.reactions):
+                    for role in (0, 1):
+                        part_node = part.graph.edges[k][role]
+                        g_node = g.edges[j - 1][role]
+                        assert g_node_of.setdefault(part_node, g_node) == g_node
+                        assert part.graph.label_vector(part_node) == tuple(
+                            g.label_vector(g_node)[i] for i in part.subnetwork.species_indices
+                        )
+                assert len(set(g_node_of.values())) == len(g_node_of) == part.graph.m
 
 
 def test_subnetwork_rejects_bad_indices(running):

@@ -1,8 +1,9 @@
 """Guards on the names that other code reaches.
 
 The package root must export what it lists, the benchmark under
-``perfbench/`` must still find every function it wraps or calls, and the
-exact linear algebra stays behind the five names of ``ratmat``.
+``perfbench/`` must still find every function it wraps or calls, the
+exact linear algebra stays behind the five names of ``ratmat``, and no
+module imports a name it does not use.
 """
 
 from __future__ import annotations
@@ -87,3 +88,21 @@ def test_ratmat_keeps_five_public_functions_and_a_primitive_kernel():
             assert isinstance(vec, tuple)
             assert all(type(v) is int for v in vec)
             assert math.gcd(*vec) == 1
+
+
+def test_every_module_uses_what_it_imports():
+    package = Path(crnbalance.__file__).parent
+    unused = []
+    for path in sorted(package.glob("*.py")):
+        if path.name == "__init__.py":
+            continue
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        imported = set()
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Import):
+                imported |= {a.asname or a.name.split(".")[0] for a in node.names}
+            elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+                imported |= {a.asname or a.name for a in node.names}
+        used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+        unused += [f"{path.name}: {name}" for name in sorted(imported - used)]
+    assert not unused, f"imported but never used: {unused}"
