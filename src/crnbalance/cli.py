@@ -54,7 +54,7 @@ from .partitions import (
     partition_from_json,
     partition_to_json,
 )
-from .reporting import emit, graph_summary, monomial_str
+from .reporting import GraphRows, emit, graph_summary, monomial_str
 from .subnetworks import (
     SplitError,
     SubnetworkSplit,
@@ -174,18 +174,13 @@ def cmd_analyze(args, out: IO[str]) -> int:
 
 def cmd_graphs_enumerate(args, out: IO[str]) -> int:
     net = _load_network(args.file)
-    graphs = []
-    for partition in enumerate_admissible_partitions(net, args.max):
+
+    def row(partition):
         g = graph_from_partition(net, partition)
-        graphs.append(
-            {
-                "partition": partition_to_json(partition),
-                "nodes": g.m,
-                "components": g.n_components,
-                "deficiency": g.deficiency,
-                "weakly_reversible": g.is_weakly_reversible,
-            }
-        )
+        return partition.blocks, g.m, g.n_components, g.deficiency, g.is_weakly_reversible
+
+    # emit streams the rows, so each graph is dropped once its row is written
+    graphs = GraphRows(lambda: map(row, enumerate_admissible_partitions(net, args.max)))
     report = {"admissible_count": count_admissible_partitions(net), "graphs": graphs}
     emit(report, args.format, out)
     return 0

@@ -37,8 +37,20 @@ class ConvergenceError(RuntimeError):
     """Newton refinement did not reach tolerance."""
 
 
+def _float_rate(j: int, k) -> float:
+    """A positive rate constant as a float; exact ones the float range
+    cannot hold are refused, never turned into inf or a dropped reaction."""
+    try:
+        value = float(k)
+    except OverflowError:
+        raise ValueError(f"kappa[{j}] (reaction r{j + 1}) overflows the float range") from None
+    if value == 0.0:
+        raise ValueError(f"kappa[{j}] (reaction r{j + 1}) underflows to 0.0 as a float")
+    return value
+
+
 def _float_setup(net: ReactionNetwork, kappa: Sequence | None):
-    kap = np.array([float(k) for k in numeric_kappa(net, kappa)])
+    kap = np.array([_float_rate(j, k) for j, k in enumerate(numeric_kappa(net, kappa))])
     sources = np.array(
         [net.complexes[r.source].coeffs for r in net.reactions], dtype=float
     )

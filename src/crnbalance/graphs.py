@@ -51,22 +51,28 @@ class ReactionGraph:
     @cached_property
     def components(self) -> tuple[tuple[int, ...], ...]:
         """Weakly connected components as sorted node tuples, ordered by smallest node."""
-        parent = list(range(self.m + 1))
-
-        def find(x: int) -> int:
-            while parent[x] != x:
-                parent[x] = parent[parent[x]]
-                x = parent[x]
-            return x
-
+        # union-find whose root is each set's smallest node, so every parent
+        # is below its child: one ascending pass resolves all roots, and
+        # groups come out sorted and in order of their smallest node
+        m = self.m
+        root = list(range(m + 1))
         for a, b in self.edges:
-            ra, rb = find(a), find(b)
-            if ra != rb:
-                parent[rb] = ra
+            while root[a] != a:
+                root[a] = root[root[a]]
+                a = root[a]
+            while root[b] != b:
+                root[b] = root[root[b]]
+                b = root[b]
+            if a < b:
+                root[b] = a
+            elif b < a:
+                root[a] = b
         groups: dict[int, list[int]] = {}
-        for node in range(1, self.m + 1):
-            groups.setdefault(find(node), []).append(node)
-        return tuple(sorted((tuple(sorted(g)) for g in groups.values()), key=min))
+        for node in range(1, m + 1):
+            r = root[root[node]]
+            root[node] = r
+            groups.setdefault(r, []).append(node)
+        return tuple(map(tuple, groups.values()))
 
     @property
     def n_components(self) -> int:
@@ -130,9 +136,15 @@ class ReactionGraph:
     def is_weakly_reversible(self) -> bool:
         """True iff every connected component is strongly connected.
 
-        Each weak component is a union of strong ones, so the counts agree
-        exactly when no weak component splits.
+        Every node has an edge and no edge is a loop, so a node without an
+        in-edge or an out-edge lies on no cycle and splits its component:
+        that degree test answers most graphs without the SCC pass. Past
+        it, each weak component is a union of strong ones, so the counts
+        agree exactly when no weak component splits.
         """
+        m = self.m
+        if len({a for a, _ in self.edges}) < m or len({b for _, b in self.edges}) < m:
+            return False
         return len(self.strong_components) == self.n_components
 
     @cached_property

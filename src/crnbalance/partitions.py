@@ -176,9 +176,10 @@ def enumerate_admissible_partitions(
     """Yield every admissible partition, canonically ordered.
 
     The stream is the product of set-partition enumerations of the label
-    classes (classes in complex order), so it is deterministic. Raises
-    TooManyPartitionsError up front when the total would exceed
-    max_count (default: DEFAULT_MAX_PARTITIONS, 100000).
+    classes (classes in complex order), so it is deterministic. The call
+    itself raises TooManyPartitionsError when the total would exceed
+    max_count (default: DEFAULT_MAX_PARTITIONS, 100000), so a caller that
+    streams its report refuses before writing anything.
     """
     if max_count is None:
         max_count = DEFAULT_MAX_PARTITIONS
@@ -189,6 +190,10 @@ def enumerate_admissible_partitions(
         raise TooManyPartitionsError(
             f"{total} admissible partitions exceed the cap {max_count}"
         )
+    return _admissible_partitions(net)
+
+
+def _admissible_partitions(net: ReactionNetwork) -> Iterator[AdmissiblePartition]:
     # each class's set partitions once; product() keeps the first class outermost
     per_class = [
         [tuple(tuple(b) for b in parts) for parts in _set_partitions(members)]

@@ -5,6 +5,7 @@ from __future__ import annotations
 import io
 import json
 import math
+import tracemalloc
 
 import pytest
 
@@ -83,6 +84,20 @@ def test_graphs_enumerate_rejects_exceeded_cap(capsys):
     assert out == ""
     err = capsys.readouterr().err
     assert err.startswith("error:") and "900" in err
+
+
+def test_graphs_enumerate_streams_in_memory_bounded_by_its_output():
+    # the JSON rows are written as they are produced, never held as one
+    # report: holding them all peaked at 9x the output bytes
+    stream = io.StringIO()
+    tracemalloc.start()
+    try:
+        code = main(["graphs", "enumerate", RUNNING], stream)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert code == 0
+    assert peak < 3 * len(stream.getvalue().encode())
 
 
 def test_graph_info_reports_cayley_and_kernel():
@@ -216,6 +231,15 @@ def test_simulate_json_final_state():
         [1 + 2 * math.exp(-6), 2 - 2 * math.exp(-6)], abs=1e-6
     )
     assert len(report["times"]) == len(report["states"])
+
+
+@pytest.mark.parametrize("kappa, message", [("1e400,1", "overflows"), ("1e-400,1", "underflows")])
+def test_simulate_refuses_kappa_outside_the_float_range(kappa, message, capsys):
+    code, out = run_cli("simulate", AB, "--kappa", kappa, "--x0", "3,0", "--t-end", "1")
+    assert (code, out) == (2, "")
+    err = capsys.readouterr().err
+    assert f"kappa[0] (reaction r1) {message}" in err
+    assert "Traceback" not in err
 
 
 def test_decompose_reports_induced_parts():

@@ -163,6 +163,23 @@ def test_simulate_rejects_an_infinite_kappa(running):
         simulate(running, (1.0, 2.0), [float("inf"), 1, 1, 1, 2, 2], t_end=1.0)
 
 
+@pytest.mark.parametrize(
+    "big, message",
+    [(Fraction(10) ** 400, "overflows"), (Fraction(1, 10**400), "underflows to 0.0")],
+)
+def test_float_setup_refuses_exact_kappa_outside_the_float_range(running, big, message):
+    # an overflow used to escape as a bare OverflowError; an underflow
+    # silently dropped the reaction
+    kappa = [big, 1, 1, 1, 2, 2]
+    match = rf"kappa\[0\] \(reaction r1\) {message}"
+    with pytest.raises(ValueError, match=match):
+        simulate(running, (1.0, 2.0), kappa, t_end=1.0)
+    with pytest.raises(ValueError, match=match):
+        jacobian(running, (1.0, 2.0), kappa)
+    with pytest.raises(ValueError, match=match):
+        stability_report(running, kappa, (1.0, 2.0))
+
+
 def test_simulate_stops_at_max_steps(ab):
     trace = simulate(ab, (3.0, 0.0), t_end=5.0, dt=1e-5, max_steps=10)
     assert trace.steps == 10

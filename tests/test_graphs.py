@@ -16,6 +16,7 @@ from crnbalance import (
     canonical_complex_graph,
     canonical_split_graph,
     detailed_graph,
+    enumerate_admissible_partitions,
     equivalent,
     graph_from_partition,
     inclusion_morphism,
@@ -112,6 +113,36 @@ def test_weak_reversibility_matches_linprog_oracle():
         assert oracles.positive_kernel_exists(g.incidence_matrix)
         seen_wr += 1
     assert seen_wr and seen_not
+
+
+def test_degree_shortcut_agrees_with_the_scc_count(ab, running):
+    # is_weakly_reversible answers a graph with a node lacking an in- or
+    # out-edge without the SCC pass; the count it skips must agree. The
+    # chain of two reversible pairs has graphs that pass the degree test
+    # and still are not weakly reversible.
+    chain = parse_network("r1: A <=> B @ 1, 1\nr2: B -> C @ 1\nr3: C <=> D @ 1, 1\n")
+
+    def graphs():
+        for net in (ab, running, chain):
+            for part in enumerate_admissible_partitions(net):
+                yield graph_from_partition(net, part)
+        rng = random.Random(44)
+        for _ in range(200):
+            net = helpers.random_network(rng)
+            yield graph_from_partition(net, helpers.random_partition(rng, net))
+        for _ in range(20):
+            yield helpers.random_wr_graph(rng)
+
+    counts = {True: 0, False: 0}
+    for g in graphs():
+        wr = g.is_weakly_reversible  # first, so the shortcut is what answers
+        assert wr == (len(g.strong_components) == g.n_components)
+        weak, _ = oracles.weak_and_strong_components(g.m, g.edges)
+        assert g.components == tuple(sorted((tuple(sorted(c)) for c in weak), key=min))
+        counts[wr] += 1
+    # weakly reversible: 1 of ab's 4, 9 of running's 900, none of the
+    # chain's 100, 11 of 200 random graphs and all 20 random WR graphs
+    assert counts == {True: 41, False: 1183}
 
 
 def test_component_listing_table1(table1):

@@ -164,6 +164,15 @@ def test_enumeration_cap(running):
         list(enumerate_admissible_partitions(running, max_count=100))
 
 
+def test_enumeration_refuses_at_the_call_before_any_iteration(running):
+    # a streamed report must be refused before its first byte is written
+    with pytest.raises(TooManyPartitionsError, match="900"):
+        enumerate_admissible_partitions(running, max_count=899)
+    with pytest.raises(ValueError, match="positive"):
+        enumerate_admissible_partitions(running, max_count=0)
+    assert sum(1 for _ in enumerate_admissible_partitions(running, max_count=900)) == 900
+
+
 def test_partition_json_round_trip(running, table1):
     for i in table1:
         part = table1[i].partition

@@ -1,15 +1,17 @@
 """Guards on the names that other code reaches.
 
 The package root must export what it lists, the benchmark under
-``perfbench/`` must still find every function it wraps or calls, the
-exact linear algebra stays behind the five names of ``ratmat``, and no
-module imports a name it does not use.
+``perfbench/`` must still find every function it wraps or calls and
+count every span its lattice metrics divide by, the exact linear
+algebra stays behind the five names of ``ratmat``, and no module
+imports a name it does not use.
 """
 
 from __future__ import annotations
 
 import ast
 import importlib
+import io
 import importlib.util
 import inspect
 import json
@@ -67,6 +69,29 @@ def test_benchmark_tracer_and_loader_find_their_names():
     pnets, graphs, splits = loader.load(mods, spec)
     assert graphs[0].network is pnets[0] and graphs[0].m == 5
     assert splits[0].subsets == ((1, 2, 6),)
+
+
+def test_traced_enumeration_feeds_every_lattice_metric():
+    # the lattice per-layer metrics divide by these counts: a handler that
+    # bypasses cli.graph_from_partition or cli.emit would zero one of them
+    tracing = _load_benchmark_module("tracing")
+    loader = _load_benchmark_module("loader")
+    mods = types.SimpleNamespace(
+        **{name: importlib.import_module(f"crnbalance.{name}") for name in loader.MODULES}
+    )
+    tracer = tracing.Tracer()
+    tracer.install(mods)
+    try:
+        tracer.begin_op()
+        argv = ["graphs", "enumerate", str(ROOT / "tests" / "data" / "running.crn")]
+        assert mods.cli.main(argv, io.StringIO()) == 0
+        calls = tracer.end_op()["calls"]
+    finally:
+        tracer.uninstall()
+    for name in ("partitions.enumerate", "graphs.build", "graphs.classify", "reporting.emit"):
+        assert calls.get(name, 0) > 0, f"no {name} calls"
+    assert calls["graphs.build"] == calls["partitions.enumerate.items"] == 900
+    assert calls["graphs.weakly_reversible"] == 9
 
 
 def test_ratmat_keeps_five_public_functions_and_a_primitive_kernel():
