@@ -3,6 +3,10 @@
 Reports go to standard output, JSON by default. Exit codes: 0 success,
 1 negative analysis verdict (not balanced, infeasible, blocked
 decomposition), 2 bad input.
+
+Each ``cmd_*`` handler takes the parsed network and the arguments and
+returns its report with its exit code; ``main`` alone reads the file,
+writes the report through ``emit`` and turns errors into exit code 2.
 """
 
 from __future__ import annotations
@@ -14,7 +18,6 @@ from fractions import Fraction
 from typing import IO, Sequence
 
 from .balance import (
-    NotWeaklyReversibleError,
     balance_conditions,
     cayley_matrix,
     check_kappa_balanced,
@@ -38,9 +41,8 @@ from .graphs import (
     equivalent,
     graph_from_partition,
 )
-from .lifting import LiftError, lift_network, verify_lift
+from .lifting import lift_network, verify_lift
 from .network import (
-    ParseError,
     ReactionNetwork,
     format_network,
     format_rate,
@@ -48,19 +50,13 @@ from .network import (
     parse_network,
 )
 from .partitions import (
-    PartitionError,
     count_admissible_partitions,
     enumerate_admissible_partitions,
     partition_from_json,
     partition_to_json,
 )
 from .reporting import GraphRows, emit, graph_summary, monomial_str
-from .subnetworks import (
-    SplitError,
-    SubnetworkSplit,
-    decomposition_check,
-    induced_graphs,
-)
+from .subnetworks import SubnetworkSplit, decomposition_check, induced_graphs
 
 
 class CliError(Exception):
@@ -75,15 +71,10 @@ def _read_file(path: str) -> str:
         raise CliError(f"cannot read {path}: {exc.strerror}") from exc
 
 
-def _load_network(path: str) -> ReactionNetwork:
-    return parse_network(_read_file(path))
-
-
 def _load_graph(net: ReactionNetwork, args):
-    partition_path = getattr(args, "partition", None)
-    if partition_path is None:
+    if args.partition is None:
         return canonical_complex_graph(net)
-    partition = partition_from_json(net, _read_file(partition_path))
+    partition = partition_from_json(net, _read_file(args.partition))
     return graph_from_partition(net, partition)
 
 
@@ -94,18 +85,15 @@ def _fraction(text: str) -> Fraction:
         raise CliError(f"not a rational number: {text!r}") from exc
 
 
-def _parse_vector(text: str, what: str) -> list[Fraction]:
-    values = [_fraction(part) for part in text.split(",")]
-    if not values:
-        raise CliError(f"empty {what}")
-    return values
+def _parse_vector(text: str) -> list[Fraction]:
+    return [_fraction(part) for part in text.split(",")]
 
 
 def _parse_kappa(net: ReactionNetwork, text: str) -> list:
     """Rate constants from a comma list or a JSON map of rate symbols."""
     text = text.strip()
     if not text.startswith("{"):
-        values = _parse_vector(text, "kappa")
+        values = _parse_vector(text)
         if len(values) != net.p:
             raise CliError(f"kappa has {len(values)} entries for {net.p} reactions")
         return values
@@ -130,6 +118,15 @@ def _parse_kappa(net: ReactionNetwork, text: str) -> list:
     return values
 
 
+def _kappa_and_state(net: ReactionNetwork, args):
+    """The parsed --kappa and --state, or None when neither is given."""
+    if (args.kappa is None) != (args.state is None):
+        raise CliError("--kappa and --state go together")
+    if args.kappa is None:
+        return None
+    return _parse_kappa(net, args.kappa), _parse_vector(args.state)
+
+
 def _factor_string(factors: Sequence[tuple[int, int]]) -> str:
     if not factors:
         return "1"
@@ -140,8 +137,7 @@ def _network_facts(net: ReactionNetwork) -> dict:
     return {"species": list(net.species), "n": net.n, "m": net.m, "p": net.p}
 
 
-def cmd_parse(args, out: IO[str]) -> int:
-    net = _load_network(args.file)
+def cmd_parse(net: ReactionNetwork, args) -> tuple[dict, int]:
     report = _network_facts(net)
     report["complexes"] = [cx.format(net.species) for cx in net.complexes]
     report["reactions"] = [
@@ -154,12 +150,10 @@ def cmd_parse(args, out: IO[str]) -> int:
         for k, r in enumerate(net.reactions)
     ]
     report["stoichiometric_matrix"] = [list(row) for row in net.stoichiometric_matrix]
-    emit(report, args.format, out)
-    return 0
+    return report, 0
 
 
-def cmd_analyze(args, out: IO[str]) -> int:
-    net = _load_network(args.file)
+def cmd_analyze(net: ReactionNetwork, args) -> tuple[dict, int]:
     report = _network_facts(net)
     report["rank"] = net.rank
     report["conservation_laws"] = [list(w) for w in conservation_laws(net)]
@@ -168,26 +162,20 @@ def cmd_analyze(args, out: IO[str]) -> int:
         "detailed": graph_summary(detailed_graph(net)),
         "split": graph_summary(canonical_split_graph(net)),
     }
-    emit(report, args.format, out)
-    return 0
+    return report, 0
 
 
-def cmd_graphs_enumerate(args, out: IO[str]) -> int:
-    net = _load_network(args.file)
-
+def cmd_graphs_enumerate(net: ReactionNetwork, args) -> tuple[dict, int]:
     def row(partition):
         g = graph_from_partition(net, partition)
         return partition.blocks, g.m, g.n_components, g.deficiency, g.is_weakly_reversible
 
     # emit streams the rows, so each graph is dropped once its row is written
     graphs = GraphRows(lambda: map(row, enumerate_admissible_partitions(net, args.max)))
-    report = {"admissible_count": count_admissible_partitions(net), "graphs": graphs}
-    emit(report, args.format, out)
-    return 0
+    return {"admissible_count": count_admissible_partitions(net), "graphs": graphs}, 0
 
 
-def cmd_graph_info(args, out: IO[str]) -> int:
-    net = _load_network(args.file)
+def cmd_graph_info(net: ReactionNetwork, args) -> tuple[dict, int]:
     g = _load_graph(net, args)
     report = {"network": _network_facts(net) | {"rank": net.rank}}
     report.update(graph_summary(g))
@@ -196,12 +184,10 @@ def cmd_graph_info(args, out: IO[str]) -> int:
     basis = integer_kernel_basis(g)
     report["kernel_dimension"] = len(basis)
     report["kernel_basis"] = [list(u) for u in basis]
-    emit(report, args.format, out)
-    return 0
+    return report, 0
 
 
-def cmd_balance_conditions(args, out: IO[str]) -> int:
-    net = _load_network(args.file)
+def cmd_balance_conditions(net: ReactionNetwork, args) -> tuple[dict, int]:
     g = _load_graph(net, args)
     conditions = balance_conditions(g, expand=args.expand)
     entries = []
@@ -215,21 +201,17 @@ def cmd_balance_conditions(args, out: IO[str]) -> int:
             entry["lhs_expanded"] = rel.lhs_poly.format()
             entry["rhs_expanded"] = rel.rhs_poly.format()
         entries.append(entry)
-    report = {
+    return {
         "deficiency": g.deficiency,
         "weakly_reversible": True,
         "kernel_basis": [list(u) for u in conditions.kernel_basis],
         "conditions": entries,
-    }
-    emit(report, args.format, out)
-    return 0
+    }, 0
 
 
-def cmd_balance_check(args, out: IO[str]) -> int:
-    net = _load_network(args.file)
+def cmd_balance_check(net: ReactionNetwork, args) -> tuple[dict, int]:
     g = _load_graph(net, args)
-    kappa = _parse_kappa(net, args.kappa)
-    check = check_kappa_balanced(g, kappa)
+    check = check_kappa_balanced(g, _parse_kappa(net, args.kappa))
     report = {
         "kappa": [format_rate(k) for k in check.kappa],
         "balanced": check.balanced,
@@ -243,12 +225,10 @@ def cmd_balance_check(args, out: IO[str]) -> int:
             for v in check.values
         ],
     }
-    emit(report, args.format, out)
-    return 0 if check.balanced else 1
+    return report, 0 if check.balanced else 1
 
 
-def cmd_steady_state(args, out: IO[str]) -> int:
-    net = _load_network(args.file)
+def cmd_steady_state(net: ReactionNetwork, args) -> tuple[dict, int]:
     g = _load_graph(net, args)
     kappa = _parse_kappa(net, args.kappa)
     result = solve_positive_steady_state(g, kappa)
@@ -256,24 +236,23 @@ def cmd_steady_state(args, out: IO[str]) -> int:
         "kappa": [format_rate(Fraction(k)) for k in kappa],
         "feasible": result.feasible,
         "log_residual": result.residual,
+        "binomials": [
+            {
+                "edge": list(b.edge),
+                "equation": "{}*{} = {}*{}".format(
+                    format_rate(b.lhs_coeff),
+                    monomial_str(net.species, b.lhs_exps),
+                    format_rate(b.rhs_coeff),
+                    monomial_str(net.species, b.rhs_exps),
+                ),
+            }
+            for b in steady_state_binomials(g, kappa)
+        ],
     }
-    binomials = steady_state_binomials(g, kappa)
-    report["binomials"] = [
-        {
-            "edge": list(b.edge),
-            "equation": "{}*{} = {}*{}".format(
-                format_rate(b.lhs_coeff),
-                monomial_str(net.species, b.lhs_exps),
-                format_rate(b.rhs_coeff),
-                monomial_str(net.species, b.rhs_exps),
-            ),
-        }
-        for b in binomials
-    ]
     if result.feasible:
         report["x"] = list(result.x)
         if args.class_anchor is not None:
-            anchor = [float(v) for v in _parse_vector(args.class_anchor, "class anchor")]
+            anchor = [float(v) for v in _parse_vector(args.class_anchor)]
             point = birch_point(net, g, kappa, anchor)
             stability = stability_report(net, kappa, point)
             report["class_anchor"] = anchor
@@ -282,14 +261,12 @@ def cmd_steady_state(args, out: IO[str]) -> int:
                 "eigenvalues": list(stability.eigenvalues),
                 "verdict": stability.verdict,
             }
-    emit(report, args.format, out)
-    return 0 if result.feasible else 1
+    return report, 0 if result.feasible else 1
 
 
-def cmd_simulate(args, out: IO[str]) -> int:
-    net = _load_network(args.file)
+def cmd_simulate(net: ReactionNetwork, args) -> tuple[dict, int]:
     kappa = _parse_kappa(net, args.kappa)
-    x0 = [float(v) for v in _parse_vector(args.x0, "x0")]
+    x0 = [float(v) for v in _parse_vector(args.x0)]
     trace = simulate(
         net,
         x0,
@@ -300,11 +277,9 @@ def cmd_simulate(args, out: IO[str]) -> int:
         tol=args.tol,
     )
     if args.format == "csv":
-        out.write("t," + ",".join(net.species) + "\n")
-        for t, state in zip(trace.times, trace.states):
-            out.write(f"{t!r}," + ",".join(repr(v) for v in state) + "\n")
-        return 0
-    report = {
+        rows = [(t, *state) for t, state in zip(trace.times, trace.states)]
+        return {"columns": ["t", *net.species], "rows": rows}, 0
+    return {
         "t_end": args.t_end,
         "steps": trace.steps,
         "steady": trace.steady,
@@ -312,20 +287,13 @@ def cmd_simulate(args, out: IO[str]) -> int:
         "final": list(trace.final),
         "times": list(trace.times),
         "states": [list(s) for s in trace.states],
-    }
-    emit(report, args.format, out)
-    return 0
+    }, 0
 
 
-def cmd_decompose(args, out: IO[str]) -> int:
-    net = _load_network(args.file)
+def cmd_decompose(net: ReactionNetwork, args) -> tuple[dict, int]:
     g = _load_graph(net, args)
-    subsets = []
-    for group in args.subsets.split(";"):
-        group = group.strip()
-        if group:
-            subsets.append(tuple(int(part) for part in group.split(",")))
-    split = SubnetworkSplit(net, tuple(subsets))
+    groups = [group for group in args.subsets.split(";") if group.strip()]
+    split = SubnetworkSplit(net, tuple(tuple(map(int, group.split(","))) for group in groups))
     induced = induced_graphs(g, split)
     report = {
         "subsets": [list(s) for s in split.subsets],
@@ -345,27 +313,22 @@ def cmd_decompose(args, out: IO[str]) -> int:
         "non_reversible_parts": list(induced.non_reversible_parts),
         "jointly_balanceable": induced.jointly_balanceable,
     }
-    if args.kappa is not None and args.state is not None:
-        kappa = _parse_kappa(net, args.kappa)
-        x = _parse_vector(args.state, "state")
-        check = decomposition_check(net, g, split, kappa, x)
-        report["check"] = {
-            "whole_and_subsets": check.whole_and_subsets,
-            "union_graph": check.union_graph,
-            "all_parts": check.all_parts,
-            "agree": check.agree,
-        }
-        emit(report, args.format, out)
-        return 0 if check.balanced else 1
-    emit(report, args.format, out)
-    return 0 if induced.jointly_balanceable else 1
+    pair = _kappa_and_state(net, args)
+    if pair is None:
+        return report, 0 if induced.jointly_balanceable else 1
+    check = decomposition_check(net, g, split, *pair)
+    report["check"] = {
+        "whole_and_subsets": check.whole_and_subsets,
+        "union_graph": check.union_graph,
+        "all_parts": check.all_parts,
+        "agree": check.agree,
+    }
+    return report, 0 if check.balanced else 1
 
 
-def cmd_lift(args, out: IO[str]) -> int:
-    net = _load_network(args.file)
+def cmd_lift(net: ReactionNetwork, args) -> tuple[dict, int]:
     g = _load_graph(net, args)
     lift = lift_network(net, g)
-    lifted_complex_graph = canonical_complex_graph(lift.network)
     report = {
         "copies": lift.copies,
         "epsilon": lift.epsilon,
@@ -373,28 +336,24 @@ def cmd_lift(args, out: IO[str]) -> int:
         "reactions": lift.network.p,
         "exchange_reactions": lift.n_exchange,
         "graph_deficiency": g.deficiency,
-        "lifted_deficiency": lifted_complex_graph.deficiency,
+        "lifted_deficiency": canonical_complex_graph(lift.network).deficiency,
         "stoichiometric_dimension": lift.network.rank,
         "network": format_network(lift.network),
     }
-    if args.kappa is not None and args.state is not None:
-        kappa = _parse_kappa(net, args.kappa)
-        x = _parse_vector(args.state, "state")
-        check = verify_lift(net, g, kappa, x)
-        report["verification"] = {
-            "base_balanced": check.base_balanced,
-            "lift_balanced": check.lift_balanced,
-            "rows_match": check.rows_match,
-            "holds": check.holds,
-        }
-        emit(report, args.format, out)
-        return 0 if check.holds else 1
-    emit(report, args.format, out)
-    return 0
+    pair = _kappa_and_state(net, args)
+    if pair is None:
+        return report, 0
+    check = verify_lift(net, g, *pair)
+    report["verification"] = {
+        "base_balanced": check.base_balanced,
+        "lift_balanced": check.lift_balanced,
+        "rows_match": check.rows_match,
+        "holds": check.holds,
+    }
+    return report, 0 if check.holds else 1
 
 
-def cmd_incremental(args, out: IO[str]) -> int:
-    net = _load_network(args.file)
+def cmd_incremental(net: ReactionNetwork, args) -> tuple[dict, int]:
     g = _load_graph(net, args)
     parts = args.join.split(",")
     if len(parts) != 2:
@@ -412,32 +371,31 @@ def cmd_incremental(args, out: IO[str]) -> int:
         if condition.lhs is None
         else {"lhs": condition.lhs.format(), "rhs": condition.rhs.format()},
     }
-    exit_code = 0
-    if args.kappa is not None:
-        kappa = numeric_kappa(net, _parse_kappa(net, args.kappa))
-        holds = condition.holds(kappa)
-        report["kappa"] = [format_rate(Fraction(k)) for k in kappa]
-        report["holds"] = holds
-        exit_code = 0 if holds else 1
-    emit(report, args.format, out)
-    return exit_code
+    if args.kappa is None:
+        return report, 0
+    kappa = numeric_kappa(net, _parse_kappa(net, args.kappa))
+    holds = condition.holds(kappa)
+    report["kappa"] = [format_rate(Fraction(k)) for k in kappa]
+    report["holds"] = holds
+    return report, 0 if holds else 1
 
 
-def _add_format(parser: argparse.ArgumentParser, extra: tuple[str, ...] = ()) -> None:
-    parser.add_argument(
-        "--format",
-        choices=("json", "text") + extra,
-        default="json",
-        help="output format (default json)",
-    )
-
-
-def _add_partition(parser: argparse.ArgumentParser, required: bool = False) -> None:
-    parser.add_argument(
-        "--partition",
-        required=required,
-        help="JSON file with the admissible partition (array of index arrays)",
-    )
+def _command(sub, name: str, help: str, handler, options: dict | None = None, *,
+             partition: bool | None = None, formats: tuple[str, ...] = ("json", "text")):
+    """A subcommand taking FILE, --partition (required if True, absent if None),
+    ``options`` (flag -> add_argument keywords) and --format, in that order."""
+    p = sub.add_parser(name, help=help)
+    p.add_argument("file")
+    if partition is not None:
+        p.add_argument(
+            "--partition",
+            required=partition,
+            help="JSON file with the admissible partition (array of index arrays)",
+        )
+    for flag, kwargs in (options or {}).items():
+        p.add_argument(flag, **kwargs)
+    p.add_argument("--format", choices=formats, default="json", help="output format (default json)")
+    p.set_defaults(handler=handler)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -446,123 +404,73 @@ def build_parser() -> argparse.ArgumentParser:
         description="Reaction graph analysis of mass-action networks.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-
-    p = sub.add_parser("parse", help="parse a .crn file and echo its structure")
-    p.add_argument("file")
-    _add_format(p)
-    p.set_defaults(handler=cmd_parse)
-
-    p = sub.add_parser("analyze", help="rank, canonical graphs, conservation laws")
-    p.add_argument("file")
-    _add_format(p)
-    p.set_defaults(handler=cmd_analyze)
+    _command(sub, "parse", "parse a .crn file and echo its structure", cmd_parse)
+    _command(sub, "analyze", "rank, canonical graphs, conservation laws", cmd_analyze)
 
     graphs = sub.add_parser("graphs", help="operations on the set of reaction graphs")
     graphs_sub = graphs.add_subparsers(dest="graphs_command", required=True)
-    p = graphs_sub.add_parser("enumerate", help="list all admissible partitions")
-    p.add_argument("file")
-    p.add_argument("--max", type=int, default=None, help="enumeration cap")
-    _add_format(p)
-    p.set_defaults(handler=cmd_graphs_enumerate)
+    _command(graphs_sub, "enumerate", "list all admissible partitions", cmd_graphs_enumerate,
+             {"--max": dict(type=int, help="enumeration cap")})
 
     graph = sub.add_parser("graph", help="operations on one reaction graph")
     graph_sub = graph.add_subparsers(dest="graph_command", required=True)
-    p = graph_sub.add_parser("info", help="structure, Cayley matrix, kernel")
-    p.add_argument("file")
-    _add_partition(p, required=True)
-    _add_format(p)
-    p.set_defaults(handler=cmd_graph_info)
+    _command(graph_sub, "info", "structure, Cayley matrix, kernel", cmd_graph_info,
+             partition=True)
 
     balance = sub.add_parser("balance", help="node balance analysis")
     balance_sub = balance.add_subparsers(dest="balance_command", required=True)
-    p = balance_sub.add_parser("conditions", help="rate-constant conditions for balance")
-    p.add_argument("file")
-    _add_partition(p)
-    p.add_argument("--expand", action="store_true", help="expand tree constants")
-    _add_format(p)
-    p.set_defaults(handler=cmd_balance_conditions)
-    p = balance_sub.add_parser("check", help="test rate constants for balance")
-    p.add_argument("file")
-    _add_partition(p)
-    p.add_argument("--kappa", required=True, help="comma list or JSON map")
-    _add_format(p)
-    p.set_defaults(handler=cmd_balance_check)
+    _command(balance_sub, "conditions", "rate-constant conditions for balance",
+             cmd_balance_conditions,
+             {"--expand": dict(action="store_true", help="expand tree constants")},
+             partition=False)
+    _command(balance_sub, "check", "test rate constants for balance", cmd_balance_check,
+             {"--kappa": dict(required=True, help="comma list or JSON map")}, partition=False)
 
-    p = sub.add_parser("steady-state", help="positive steady states of a balanced graph")
-    p.add_argument("file")
-    _add_partition(p)
-    p.add_argument("--kappa", required=True)
-    p.add_argument("--class", dest="class_anchor", default=None, metavar="X0",
-                   help="comma list; also return the class steady state")
-    _add_format(p)
-    p.set_defaults(handler=cmd_steady_state)
-
-    p = sub.add_parser("simulate", help="integrate the mass-action ODE")
-    p.add_argument("file")
-    p.add_argument("--kappa", required=True)
-    p.add_argument("--x0", required=True)
-    p.add_argument("--t-end", type=float, required=True)
-    p.add_argument("--dt", type=float, default=None, help="fixed step override")
-    p.add_argument("--adaptive", action="store_true", help="embedded 4(5) pair")
-    p.add_argument("--tol", type=float, default=1e-8, help="adaptive relative tolerance")
-    _add_format(p, extra=("csv",))
-    p.set_defaults(handler=cmd_simulate)
-
-    p = sub.add_parser("decompose", help="split reactions into subnetworks")
-    p.add_argument("file")
-    _add_partition(p)
-    p.add_argument("--subsets", required=True,
-                   help="reaction index groups, e.g. '1,2,6' or '1,2;3,4'")
-    p.add_argument("--kappa", default=None)
-    p.add_argument("--state", default=None, help="state to run the balance checks at")
-    _add_format(p)
-    p.set_defaults(handler=cmd_decompose)
-
-    p = sub.add_parser("lift", help="replicated network with matching complex balance")
-    p.add_argument("file")
-    _add_partition(p)
-    p.add_argument("--kappa", default=None)
-    p.add_argument("--state", default=None, help="verify the correspondence at a state")
-    _add_format(p)
-    p.set_defaults(handler=cmd_lift)
-
-    p = sub.add_parser("incremental", help="extra condition from joining two nodes")
-    p.add_argument("file")
-    _add_partition(p, required=True)
-    p.add_argument("--join", required=True, metavar="I1,I2")
-    p.add_argument("--kappa", default=None)
-    _add_format(p)
-    p.set_defaults(handler=cmd_incremental)
-
+    _command(sub, "steady-state", "positive steady states of a balanced graph",
+             cmd_steady_state,
+             {"--kappa": dict(required=True),
+              "--class": dict(dest="class_anchor", metavar="X0",
+                              help="comma list; also return the class steady state")},
+             partition=False)
+    _command(sub, "simulate", "integrate the mass-action ODE", cmd_simulate,
+             {"--kappa": dict(required=True),
+              "--x0": dict(required=True),
+              "--t-end": dict(type=float, required=True),
+              "--dt": dict(type=float, help="fixed step override"),
+              "--adaptive": dict(action="store_true", help="embedded 4(5) pair"),
+              "--tol": dict(type=float, default=1e-8, help="adaptive relative tolerance")},
+             formats=("json", "text", "csv"))
+    _command(sub, "decompose", "split reactions into subnetworks", cmd_decompose,
+             {"--subsets": dict(required=True,
+                                help="reaction index groups, e.g. '1,2,6' or '1,2;3,4'"),
+              "--kappa": {},
+              "--state": dict(help="state to run the balance checks at")},
+             partition=False)
+    _command(sub, "lift", "replicated network with matching complex balance", cmd_lift,
+             {"--kappa": {},
+              "--state": dict(help="verify the correspondence at a state")},
+             partition=False)
+    _command(sub, "incremental", "extra condition from joining two nodes", cmd_incremental,
+             {"--join": dict(required=True, metavar="I1,I2"), "--kappa": {}},
+             partition=True)
     return parser
 
 
 def main(argv: Sequence[str] | None = None, stream: IO[str] | None = None) -> int:
-    out = stream if stream is not None else sys.stdout
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
     except SystemExit as exc:
         return int(exc.code) if exc.code else 0
+    # every error the package raises on bad input is a ValueError subclass
+    # (ParseError, PartitionError, SplitError, LiftError, ...)
     try:
-        return args.handler(args, out)
-    except CliError as exc:
+        report, code = args.handler(parse_network(_read_file(args.file)), args)
+        emit(report, args.format, stream if stream is not None else sys.stdout)
+    except (CliError, ValueError, OSError, SimulationError, ConvergenceError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except (
-        ParseError,
-        PartitionError,
-        SplitError,
-        LiftError,
-        NotWeaklyReversibleError,
-        SimulationError,
-        ConvergenceError,
-        json.JSONDecodeError,
-        ValueError,
-        OSError,
-    ) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+    return code
 
 
 if __name__ == "__main__":

@@ -9,6 +9,7 @@ the class.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from enum import Enum
 from typing import Sequence
@@ -122,10 +123,14 @@ def simulate(
     larger excursions reject the step and halve it.
 
     Raises:
+        ValueError: t_end, dt or tol is not positive and finite, or x0
+            does not fit the network.
         SimulationError: step-size underflow or non-finite state.
     """
-    if t_end <= 0:
-        raise ValueError(f"t_end must be positive, got {t_end}")
+    for name, value in (("t_end", t_end), ("dt", dt), ("tol", tol)):
+        if value is not None and not 0 < value < math.inf:
+            rule = "positive" if value <= 0 else "finite"
+            raise ValueError(f"{name} must be {rule}, got {value}")
     x = np.array([float(v) for v in x0])
     if len(x) != net.n:
         raise ValueError(f"x0 has {len(x)} entries for {net.n} species")

@@ -89,48 +89,36 @@ class ReactionGraph:
 
     @cached_property
     def strong_components(self) -> tuple[tuple[int, ...], ...]:
-        """Strongly connected components (Kosaraju), as sorted node tuples."""
-        succ: dict[int, list[int]] = {v: [] for v in range(1, self.m + 1)}
-        pred: dict[int, list[int]] = {v: [] for v in range(1, self.m + 1)}
+        """Strongly connected components as sorted node tuples, ordered by smallest node.
+
+        The component of a node is what it reaches along the edges
+        intersected with what it reaches against them; taking the nodes in
+        ascending order, each new component starts at its smallest node.
+        """
+        succ: list[list[int]] = [[] for _ in range(self.m + 1)]
+        pred: list[list[int]] = [[] for _ in range(self.m + 1)]
         for a, b in self.edges:
             succ[a].append(b)
             pred[b].append(a)
-        order: list[int] = []
-        seen = [False] * (self.m + 1)
-        for start in range(1, self.m + 1):
-            if seen[start]:
-                continue
-            stack = [(start, iter(succ[start]))]
-            seen[start] = True
+
+        def reach(start: int, adjacent: list[list[int]]) -> set[int]:
+            seen = {start}
+            stack = [start]
             while stack:
-                node, it = stack[-1]
-                advanced = False
-                for nxt in it:
-                    if not seen[nxt]:
-                        seen[nxt] = True
-                        stack.append((nxt, iter(succ[nxt])))
-                        advanced = True
-                        break
-                if not advanced:
-                    order.append(node)
-                    stack.pop()
-        assigned = [0] * (self.m + 1)
-        comps: list[list[int]] = []
-        for start in reversed(order):
-            if assigned[start]:
-                continue
-            comps.append([])
-            cid = len(comps)
-            stack2 = [start]
-            assigned[start] = cid
-            while stack2:
-                node = stack2.pop()
-                comps[-1].append(node)
-                for nxt in pred[node]:
-                    if not assigned[nxt]:
-                        assigned[nxt] = cid
-                        stack2.append(nxt)
-        return tuple(sorted((tuple(sorted(c)) for c in comps), key=min))
+                for nxt in adjacent[stack.pop()]:
+                    if nxt not in seen:
+                        seen.add(nxt)
+                        stack.append(nxt)
+            return seen
+
+        placed: set[int] = set()
+        comps = []
+        for node in range(1, self.m + 1):
+            if node not in placed:
+                comp = reach(node, succ) & reach(node, pred)
+                placed |= comp
+                comps.append(tuple(sorted(comp)))
+        return tuple(comps)
 
     @cached_property
     def is_weakly_reversible(self) -> bool:

@@ -23,7 +23,7 @@ class GraphRows:
     components, deficiency, weakly reversible) tuples. It is called once
     here, so that whatever refuses the input raises before any output is
     written, and afresh for every later iteration. ``json_value`` turns
-    the rows into a list; ``emit`` streams them as JSON.
+    the rows into a list; ``emit`` streams them as JSON or text.
     """
 
     def __init__(self, produce):
@@ -34,22 +34,24 @@ class GraphRows:
         rows, self._first = self._first, None
         return rows if rows is not None else self._produce()
 
-
-def json_value(value):
-    """Recursively rewrite exact values into JSON-friendly ones."""
-    if isinstance(value, bool) or value is None:
-        return value
-    if isinstance(value, GraphRows):
-        return [
-            {
+    def dicts(self):
+        """The rows as report entries, one at a time."""
+        for blocks, nodes, components, deficiency, wr in self:
+            yield {
                 "partition": [list(block) for block in blocks],
                 "nodes": nodes,
                 "components": components,
                 "deficiency": deficiency,
                 "weakly_reversible": wr,
             }
-            for blocks, nodes, components, deficiency, wr in value
-        ]
+
+
+def json_value(value):
+    """Recursively rewrite exact values into JSON-friendly ones."""
+    if isinstance(value, bool) or value is None:
+        return value
+    if isinstance(value, GraphRows):
+        return list(value.dicts())
     if isinstance(value, Fraction):
         return format_rate(value)
     if isinstance(value, Enum):
@@ -163,11 +165,23 @@ def emit(data: dict, fmt: str, stream) -> None:
 
     The json form encodes the report directly; for reports with string
     keys it equals ``json.dumps(json_value(data), indent=2)`` without
-    copying the report first. A top-level GraphRows value is written row
-    by row as it is produced, so the report is never held whole.
+    copying the report first. The text form renders each top-level value
+    through ``_text_lines``. In both, a top-level GraphRows value is
+    written row by row as it is produced, so the report is never held
+    whole. The csv form writes a ``columns`` header and then one line per
+    ``rows`` entry.
     """
-    if fmt != "json":
-        stream.write("\n".join(_text_lines(json_value(data), 0)) + "\n")
+    if fmt == "csv":
+        stream.write(",".join(data["columns"]) + "\n")
+        stream.writelines(",".join(map(repr, row)) + "\n" for row in data["rows"])
+    elif fmt != "json":
+        for key, value in data.items():
+            if not isinstance(value, GraphRows):
+                stream.write("\n".join(_text_lines({key: json_value(value)}, 0)) + "\n")
+                continue
+            stream.write(f"{key}:\n")
+            for row in value.dicts():
+                stream.write("\n".join(["  -", *_text_lines(row, 2)]) + "\n")
     elif not any(isinstance(v, GraphRows) for v in data.values()):
         stream.write(json.dumps(data, indent=2, default=_json_default) + "\n")
     else:

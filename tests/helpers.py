@@ -156,6 +156,31 @@ def random_network(
         return ReactionNetwork(species, complexes, reactions)
 
 
+def random_reversible_network(
+    rng: random.Random, max_species: int = 3, max_pairs: int = 5
+) -> ReactionNetwork:
+    """A random fully reversible network: each reaction is followed by its reverse."""
+    while True:
+        n_species = rng.randint(1, max_species)
+        pool = _random_complex_pool(rng, n_species, rng.randint(2, 6))
+        candidates = [(a, b) for a in range(len(pool)) for b in range(a + 1, len(pool))]
+        if not candidates:
+            continue
+        chosen = rng.sample(candidates, rng.randint(1, min(max_pairs, len(candidates))))
+        used = sorted({c for pair in chosen for c in pair})
+        used_species = [i for i in range(n_species) if any(pool[c][i] for c in used)]
+        if not used_species:
+            continue
+        relabel = {c: k for k, c in enumerate(used)}
+        complexes = tuple(Complex(tuple(pool[c][i] for i in used_species)) for c in used)
+        reactions = []
+        for a, b in chosen:
+            reactions.append(Reaction(relabel[a], relabel[b], Fraction(1)))
+            reactions.append(Reaction(relabel[b], relabel[a], Fraction(1)))
+        species = tuple(f"S{i + 1}" for i in range(len(used_species)))
+        return ReactionNetwork(species, complexes, tuple(reactions))
+
+
 def random_partition(rng: random.Random, net: ReactionNetwork) -> AdmissiblePartition:
     """A random admissible partition of the network's split indices."""
     labels = net.split_labels

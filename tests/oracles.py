@@ -7,6 +7,7 @@ combinatorial quantities are recomputed by brute force.
 
 from __future__ import annotations
 
+import math
 from fractions import Fraction
 from itertools import combinations
 from typing import Sequence
@@ -122,6 +123,33 @@ def weak_and_strong_components(
     for v in range(1, n_nodes + 1):
         strong.add(frozenset(w for w in reach[v] if v in reach[w]))
     return weak, strong
+
+
+def wegscheider_holds(net, kappa: Sequence) -> bool:
+    """Detailed balance by the Wegscheider conditions, with no tree constants.
+
+    Every reaction must have its reverse in ``net``. Detailed balance
+    holds exactly when prod_r (k_r / k_r')^w_r = 1 for every w in the
+    kernel of the matrix whose columns are the reaction vectors of the
+    reversible pairs (r, r').
+    """
+    index = {(r.source, r.target): j for j, r in enumerate(net.reactions)}
+    pairs = [(j, index[(r.target, r.source)]) for j, r in enumerate(net.reactions)
+             if r.source < r.target]
+    columns = [
+        [t - s for s, t in zip(net.complexes[net.reactions[f].source].coeffs,
+                               net.complexes[net.reactions[f].target].coeffs)]
+        for f, _ in pairs
+    ]
+    vectors = [list(row) for row in zip(*columns)]
+    for w in sympy_nullspace(vectors):
+        scale = math.lcm(*(v.denominator for v in w))
+        product = Fraction(1)
+        for (f, b), v in zip(pairs, w):
+            product *= (Fraction(kappa[f]) / Fraction(kappa[b])) ** int(v * scale)
+        if product != 1:
+            return False
+    return True
 
 
 def sympy_bell(k: int) -> int:

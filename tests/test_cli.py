@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import inspect
 import io
 import json
 import math
@@ -9,6 +10,7 @@ import tracemalloc
 
 import pytest
 
+from crnbalance import cli
 from crnbalance.cli import main
 
 DATA = "tests/data"
@@ -98,6 +100,28 @@ def test_graphs_enumerate_streams_in_memory_bounded_by_its_output():
         tracemalloc.stop()
     assert code == 0
     assert peak < 3 * len(stream.getvalue().encode())
+
+
+def test_graphs_enumerate_text_streams_in_memory_bounded_by_its_output():
+    # the text rows are rendered one at a time from the same rows as the
+    # JSON form: building the whole report first peaked at 11x the output
+    stream = io.StringIO()
+    tracemalloc.start()
+    try:
+        code = main(["graphs", "enumerate", RUNNING, "--format", "text"], stream)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert code == 0
+    assert stream.getvalue().count("\n  -\n") == 900
+    assert peak < 3 * len(stream.getvalue().encode())
+
+
+def test_handlers_return_their_report_and_never_see_the_stream():
+    handlers = [name for name in dir(cli) if name.startswith("cmd_")]
+    assert len(handlers) == 11
+    for name in handlers:
+        assert list(inspect.signature(getattr(cli, name)).parameters) == ["net", "args"], name
 
 
 def test_graph_info_reports_cayley_and_kernel():
@@ -240,6 +264,35 @@ def test_simulate_refuses_kappa_outside_the_float_range(kappa, message, capsys):
     err = capsys.readouterr().err
     assert f"kappa[0] (reaction r1) {message}" in err
     assert "Traceback" not in err
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize(
+    "extra, message",
+    [
+        (["--t-end", "nan"], "t_end must be finite, got nan"),
+        (["--t-end", "inf"], "t_end must be finite, got inf"),
+        (["--t-end", "1", "--dt", "0"], "dt must be positive, got 0.0"),
+        (["--t-end", "1", "--dt", "-1"], "dt must be positive, got -1.0"),
+        (["--t-end", "1", "--adaptive", "--tol", "0"], "tol must be positive, got 0.0"),
+    ],
+)
+def test_simulate_refuses_a_horizon_step_or_tolerance_out_of_range(extra, message, capsys):
+    # a t_end of nan or inf used to exit 0 with invalid JSON; dt or tol of
+    # 0 used to end in a misleading step size underflow
+    code, out = run_cli("simulate", AB, "--kappa", "2,1", "--x0", "3,0", *extra)
+    assert (code, out) == (2, "")
+    assert capsys.readouterr().err == f"error: {message}\n"
+
+
+@pytest.mark.parametrize("command", ["decompose", "lift"])
+@pytest.mark.parametrize("given", [["--kappa", "1,1,1,1,2,2"], ["--state", "1,1"]])
+def test_kappa_and_state_go_together(command, given, capsys):
+    # one of the two used to skip the check silently and exit as if asked for none
+    subsets = ["--subsets", "1,2,6"] if command == "decompose" else []
+    code, out = run_cli(command, RUNNING, "--partition", f"{DATA}/p1.json", *subsets, *given)
+    assert (code, out) == (2, "")
+    assert capsys.readouterr().err == "error: --kappa and --state go together\n"
 
 
 def test_decompose_reports_induced_parts():

@@ -151,11 +151,28 @@ def test_fixed_step_run_equals_a_plain_rk4(ab):
         ((1.0, 1.0), 0.0, "t_end must be positive"),
         ((1.0, -1.0), 1.0, "nonnegative"),
         ((1.0,), 1.0, "1 entries for 2 species"),
+        ((1.0, 1.0), float("nan"), "t_end must be finite"),
+        ((1.0, 1.0), float("inf"), "t_end must be finite"),
     ],
 )
 def test_simulate_rejects_bad_inputs(ab, x0, t_end, message):
     with pytest.raises(ValueError, match=message):
         simulate(ab, x0, t_end=t_end)
+
+
+@pytest.mark.parametrize(
+    "kwargs, message",
+    [
+        ({"dt": 0.0}, "dt must be positive"),
+        ({"dt": -0.5}, "dt must be positive"),
+        ({"dt": float("nan")}, "dt must be finite"),
+        ({"tol": 0.0, "adaptive": True}, "tol must be positive"),
+        ({"tol": float("inf"), "adaptive": True}, "tol must be finite"),
+    ],
+)
+def test_simulate_rejects_a_step_or_tolerance_out_of_range(ab, kwargs, message):
+    with pytest.raises(ValueError, match=message):
+        simulate(ab, (1.0, 1.0), t_end=1.0, **kwargs)
 
 
 def test_simulate_rejects_an_infinite_kappa(running):
