@@ -10,7 +10,6 @@ the states themselves solve one binomial per edge.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
@@ -311,44 +310,6 @@ def steady_state_binomials(g: ReactionGraph, kappa: Sequence) -> tuple[Binomial,
             )
         )
     return tuple(out)
-
-
-@dataclass(frozen=True)
-class SteadyStateResult:
-    feasible: bool
-    x: tuple[float, ...] | None
-    log_x: tuple[float, ...] | None
-    residual: float
-
-
-def solve_positive_steady_state(g: ReactionGraph, kappa: Sequence) -> SteadyStateResult:
-    """Least-squares solve of the log-linear binomial system.
-
-    Taking logs of K_j x^(Y_i) = K_i x^(Y_j) gives, per edge (i,j),
-    (Y_j - Y_i) . xi = log K_j - log K_i with xi = log x. Consistency of
-    this system (residual below RESIDUAL_TOL) is equivalent to the kappa being
-    node balanced; the returned x is one positive solution.
-    """
-    import numpy as np
-
-    _require_weakly_reversible(g, "solve_positive_steady_state")
-    kap = _exact_kappa(g, kappa)
-    constants = tree_constants_eval(g, kap)
-    rows = []
-    rhs = []
-    for a, b in g.edges:
-        ya = g.label_vector(a)
-        yb = g.label_vector(b)
-        rows.append([float(q - p) for p, q in zip(ya, yb)])
-        rhs.append(math.log(constants[b - 1]) - math.log(constants[a - 1]))
-    mat = np.array(rows)
-    vec = np.array(rhs)
-    xi, *_ = np.linalg.lstsq(mat, vec, rcond=None)
-    residual = float(np.max(np.abs(mat @ xi - vec))) if len(rhs) else 0.0
-    if residual >= RESIDUAL_TOL:
-        return SteadyStateResult(False, None, None, residual)
-    x = tuple(float(v) for v in np.exp(xi))
-    return SteadyStateResult(True, x, tuple(float(v) for v in xi), residual)
 
 
 def node_balance_residual(g: ReactionGraph, rates: Sequence) -> list:

@@ -23,7 +23,6 @@ from .balance import (
     check_kappa_balanced,
     incremental_condition,
     integer_kernel_basis,
-    solve_positive_steady_state,
     steady_state_binomials,
 )
 from .dynamics import (
@@ -32,6 +31,7 @@ from .dynamics import (
     birch_point,
     conservation_laws,
     simulate,
+    solve_positive_steady_state,
     stability_report,
 )
 from .graphs import (
@@ -252,10 +252,10 @@ def cmd_steady_state(net: ReactionNetwork, args) -> tuple[dict, int]:
     if result.feasible:
         report["x"] = list(result.x)
         if args.class_anchor is not None:
-            anchor = [float(v) for v in _parse_vector(args.class_anchor)]
+            anchor = _parse_vector(args.class_anchor)
             point = birch_point(net, g, kappa, anchor)
             stability = stability_report(net, kappa, point)
-            report["class_anchor"] = anchor
+            report["class_anchor"] = [float(v) for v in anchor]
             report["birch_point"] = list(point)
             report["stability"] = {
                 "eigenvalues": list(stability.eigenvalues),
@@ -266,10 +266,9 @@ def cmd_steady_state(net: ReactionNetwork, args) -> tuple[dict, int]:
 
 def cmd_simulate(net: ReactionNetwork, args) -> tuple[dict, int]:
     kappa = _parse_kappa(net, args.kappa)
-    x0 = [float(v) for v in _parse_vector(args.x0)]
     trace = simulate(
         net,
-        x0,
+        _parse_vector(args.x0),
         kappa,
         t_end=args.t_end,
         dt=args.dt,

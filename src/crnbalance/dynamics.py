@@ -1,10 +1,11 @@
 """Mass-action dynamics: integration, Birch points, linearized stability.
 
-Float territory. The algebraic modules certify that a rate vector is
-node balanced; this module follows the actual ODE dx/dt = N v(x),
-locates the unique positive steady state of a stoichiometric
-compatibility class, and inspects the Jacobian spectrum restricted to
-the class.
+The one module in floating point. The algebraic modules certify exactly
+that a rate vector is node balanced; here exact rate constants and
+states become floats through one rule (``_float``) and one float model
+(``_FloatModel``), which follow the actual ODE dx/dt = N v(x), locate
+the unique positive steady state of a stoichiometric compatibility
+class, and inspect the Jacobian spectrum restricted to the class.
 """
 
 from __future__ import annotations
@@ -17,7 +18,7 @@ from typing import Sequence
 import numpy as np
 
 from . import ratmat
-from .balance import solve_positive_steady_state
+from .balance import RESIDUAL_TOL, _require_weakly_reversible, steady_state_binomials
 from .graphs import ReactionGraph
 from .network import ReactionNetwork, numeric_kappa
 
@@ -38,30 +39,57 @@ class ConvergenceError(RuntimeError):
     """Newton refinement did not reach tolerance."""
 
 
-def _float_rate(j: int, k) -> float:
-    """A positive rate constant as a float; exact ones the float range
-    cannot hold are refused, never turned into inf or a dropped reaction."""
+def _float(name: str, value) -> float:
+    """value as a float. One the float range cannot hold is refused under
+    its name, never turned into inf or nan or a nonzero one into 0.0."""
     try:
-        value = float(k)
+        out = float(value)
     except OverflowError:
-        raise ValueError(f"kappa[{j}] (reaction r{j + 1}) overflows the float range") from None
-    if value == 0.0:
-        raise ValueError(f"kappa[{j}] (reaction r{j + 1}) underflows to 0.0 as a float")
-    return value
+        raise ValueError(f"{name} overflows the float range") from None
+    if not math.isfinite(out):
+        raise ValueError(f"{name} = {value} is not finite")
+    if out == 0.0 and value != 0:
+        raise ValueError(f"{name} underflows to 0.0 as a float")
+    return out
 
 
-def _float_setup(net: ReactionNetwork, kappa: Sequence | None):
-    kap = np.array([_float_rate(j, k) for j, k in enumerate(numeric_kappa(net, kappa))])
-    sources = np.array(
-        [net.complexes[r.source].coeffs for r in net.reactions], dtype=float
-    )
-    nmat = np.array(net.stoichiometric_matrix, dtype=float)
-    return kap, sources, nmat
+def _state(net: ReactionNetwork, x: Sequence, name: str, positive: bool = False) -> np.ndarray:
+    """The rule for every state: one entry per species, each a finite
+    float, nonnegative (strictly positive if positive)."""
+    if len(x) != net.n:
+        raise ValueError(f"{name} has {len(x)} entries, network has {net.n} species")
+    out = np.array([_float(f"{name}[{i}]", v) for i, v in enumerate(x)])
+    if np.any(out <= 0 if positive else out < 0):
+        raise ValueError(f"{name} must be {'strictly positive' if positive else 'nonnegative'}")
+    return out
 
 
-def _rates(kap: np.ndarray, sources: np.ndarray, x: np.ndarray) -> np.ndarray:
-    # integral exponents, so numpy's 0^0 = 1 gives the right convention
-    return kap * (x[None, :] ** sources).prod(axis=1)
+class _FloatModel:
+    """The float form of a network under one rate vector: kappa, the
+    source exponents and N, with the rates, N v and the Jacobian."""
+
+    def __init__(self, net: ReactionNetwork, kappa: Sequence | None):
+        self.kap = np.array([
+            _float(f"kappa[{j}] (reaction r{j + 1})", k)
+            for j, k in enumerate(numeric_kappa(net, kappa))
+        ])
+        self.sources = np.array(
+            [net.complexes[r.source].coeffs for r in net.reactions], dtype=float
+        )
+        self.nmat = np.array(net.stoichiometric_matrix, dtype=float)
+
+    def rates(self, x: np.ndarray) -> np.ndarray:
+        # integral exponents, so numpy's 0^0 = 1 gives the right convention
+        return self.kap * (x[None, :] ** self.sources).prod(axis=1)
+
+    def rhs(self, x: np.ndarray) -> np.ndarray:
+        return self.nmat @ self.rates(x)
+
+    def jacobian(self, x: np.ndarray) -> np.ndarray:
+        v = self.rates(x)
+        # d v_j / d x_k = v_j * y_jk / x_k (monomial differentiation)
+        dv = v[:, None] * self.sources / x[None, :]
+        return self.nmat @ dv
 
 
 def conservation_laws(net: ReactionNetwork) -> tuple[tuple[int, ...], ...]:
@@ -82,9 +110,9 @@ class SimulationTrace:
         return self.states[-1]
 
 
-def _initial_step(kap, sources, nmat, x0: np.ndarray, t_end: float) -> float:
+def _initial_step(model: _FloatModel, x0: np.ndarray, t_end: float) -> float:
     # 1e-3 of the characteristic time read off the Jacobian diagonal
-    jac = _jacobian_arrays(kap, sources, nmat, np.maximum(x0, 1e-12))
+    jac = model.jacobian(np.maximum(x0, 1e-12))
     scale = float(np.max(np.abs(np.diag(jac)))) if jac.size else 0.0
     h = 1e-3 / scale if scale > 0 else t_end / 1000.0
     return min(max(h, t_end / 500_000.0), t_end / 100.0)
@@ -124,29 +152,21 @@ def simulate(
 
     Raises:
         ValueError: t_end, dt or tol is not positive and finite, or x0
-            does not fit the network.
+            or kappa does not fit the network or the float range.
         SimulationError: step-size underflow or non-finite state.
     """
     for name, value in (("t_end", t_end), ("dt", dt), ("tol", tol)):
         if value is not None and not 0 < value < math.inf:
             rule = "positive" if value <= 0 else "finite"
             raise ValueError(f"{name} must be {rule}, got {value}")
-    x = np.array([float(v) for v in x0])
-    if len(x) != net.n:
-        raise ValueError(f"x0 has {len(x)} entries for {net.n} species")
-    if np.any(x < 0):
-        raise ValueError("x0 must be nonnegative")
-    kap, sources, nmat = _float_setup(net, kappa)
-
-    def rhs(state: np.ndarray) -> np.ndarray:
-        return nmat @ _rates(kap, sources, state)
-
-    h = float(dt) if dt is not None else _initial_step(kap, sources, nmat, x, t_end)
+    x = _state(net, x0, "x0")
+    model = _FloatModel(net, kappa)
+    h = float(dt) if dt is not None else _initial_step(model, x, t_end)
     h_min = max(t_end, 1.0) * 1e-14
     t = 0.0
     times = [0.0]
     states = [tuple(float(v) for v in x)]
-    fx = rhs(x)  # N v(x) at the current state: the residual and the next k1
+    fx = model.rhs(x)  # N v(x) at the current state: the residual and the next k1
     residual = float(np.max(np.abs(fx)))
     steady = residual < STEADY_TOL
     steps = 0
@@ -160,7 +180,7 @@ def simulate(
             k = [fx]
             for stage in range(1, 6):
                 xs = x + h * sum(a * ki for a, ki in zip(_CK_A[stage], k))
-                k.append(rhs(xs))
+                k.append(model.rhs(xs))
             x5 = x + h * sum(b * ki for b, ki in zip(_CK_B5, k))
             x4 = x + h * sum(b * ki for b, ki in zip(_CK_B4, k))
             scale = tol * np.maximum(1.0, np.maximum(np.abs(x), np.abs(x5)))
@@ -169,9 +189,9 @@ def simulate(
             x_new = x5
         else:
             k1 = fx
-            k2 = rhs(x + 0.5 * h * k1)
-            k3 = rhs(x + 0.5 * h * k2)
-            k4 = rhs(x + h * k3)
+            k2 = model.rhs(x + 0.5 * h * k1)
+            k3 = model.rhs(x + 0.5 * h * k2)
+            k4 = model.rhs(x + h * k3)
             x_new = x + (h / 6.0) * (k1 + 2 * k2 + 2 * k3 + k4)
             accept = True
         if not np.all(np.isfinite(x_new)):
@@ -191,7 +211,7 @@ def simulate(
         states.append(tuple(float(v) for v in x))
         if adaptive:
             h *= min(5.0, max(0.2, 0.9 * (err + 1e-16) ** -0.2))
-        fx = rhs(x)
+        fx = model.rhs(x)
         residual = float(np.max(np.abs(fx)))
         steady = residual < STEADY_TOL
 
@@ -203,20 +223,10 @@ def simulate(
     return SimulationTrace(tuple(times), tuple(states), steady, residual, steps)
 
 
-def _jacobian_arrays(kap, sources, nmat, x: np.ndarray) -> np.ndarray:
-    v = _rates(kap, sources, x)
-    # d v_j / d x_k = v_j * y_jk / x_k (monomial differentiation)
-    dv = v[:, None] * sources / x[None, :]
-    return nmat @ dv
-
-
 def jacobian(net: ReactionNetwork, x: Sequence, kappa: Sequence | None = None) -> np.ndarray:
     """n x n Jacobian of N v at a positive state."""
-    xf = np.array([float(v) for v in x])
-    if np.any(xf <= 0):
-        raise ValueError("Jacobian needs a strictly positive state")
-    kap, sources, nmat = _float_setup(net, kappa)
-    return _jacobian_arrays(kap, sources, nmat, xf)
+    xf = _state(net, x, "x", positive=True)
+    return _FloatModel(net, kappa).jacobian(xf)
 
 
 def _stoichiometric_bases(net: ReactionNetwork) -> tuple[np.ndarray, np.ndarray]:
@@ -225,6 +235,34 @@ def _stoichiometric_bases(net: ReactionNetwork) -> tuple[np.ndarray, np.ndarray]
     u, sing, _ = np.linalg.svd(nmat)
     s = net.rank
     return u[:, :s], u[:, s:]
+
+
+@dataclass(frozen=True)
+class SteadyStateResult:
+    feasible: bool
+    x: tuple[float, ...] | None
+    log_x: tuple[float, ...] | None
+    residual: float
+
+
+def solve_positive_steady_state(g: ReactionGraph, kappa: Sequence) -> SteadyStateResult:
+    """Least-squares solve of the log-linear binomial system.
+
+    Taking logs of each edge's binomial K_j x^(Y_i) = K_i x^(Y_j) gives
+    (Y_j - Y_i) . xi = log K_j - log K_i with xi = log x. Consistency of
+    this system (residual below RESIDUAL_TOL) is equivalent to the kappa being
+    node balanced; the returned x is one positive solution.
+    """
+    _require_weakly_reversible(g, "solve_positive_steady_state")
+    binomials = steady_state_binomials(g, kappa)
+    mat = np.array([[float(q - p) for p, q in zip(b.lhs_exps, b.rhs_exps)] for b in binomials])
+    vec = np.array([math.log(b.lhs_coeff) - math.log(b.rhs_coeff) for b in binomials])
+    xi, *_ = np.linalg.lstsq(mat, vec, rcond=None)
+    residual = float(np.max(np.abs(mat @ xi - vec))) if binomials else 0.0
+    if residual >= RESIDUAL_TOL:
+        return SteadyStateResult(False, None, None, residual)
+    x = tuple(float(v) for v in np.exp(xi))
+    return SteadyStateResult(True, x, tuple(float(v) for v in xi), residual)
 
 
 def birch_point(
@@ -239,38 +277,38 @@ def birch_point(
     moves along the steady-state manifold { log x - log x* orthogonal to
     S } until x - x0 lands in S, by damped Newton in the complement
     coordinates. Existence and uniqueness hold whenever kappa satisfies
-    the balance conditions of g.
+    the balance conditions of g. The point returned leaves the class of
+    x0 by at most 1e-10, and by at most 1e-8 max(x0) when that is less.
 
     Raises:
+        ValueError: x0 or kappa does not fit the network or the float range.
         NotBalancedError: kappa fails the balance conditions.
         ConvergenceError: Newton stalled or left tolerance unmet.
     """
+    target = None if x0 is None else _state(net, x0, "x0")
     kap = numeric_kappa(net, kappa)
+    model = _FloatModel(net, kap)
     result = solve_positive_steady_state(g, kap)
     if not result.feasible:
         raise NotBalancedError(
             f"rate constants are not node balanced (log-residual {result.residual:.3g})"
         )
     xi_star = np.array(result.log_x)
-    if x0 is None:
-        return tuple(float(v) for v in np.exp(xi_star))
-    target = np.array([float(v) for v in x0])
-    if len(target) != net.n or np.any(target < 0):
-        raise ValueError("x0 must be a nonnegative length-n vector")
     _, u_perp = _stoichiometric_bases(net)
-    d = u_perp.shape[1]
-    if d == 0:
+    if target is None or u_perp.shape[1] == 0:
         return tuple(float(v) for v in np.exp(xi_star))
 
     def point(c: np.ndarray) -> np.ndarray:
         return np.exp(xi_star + u_perp @ c)
 
-    c = np.zeros(d)
+    # a class of tiny states needs a relative stop; the class {0} never meets it
+    tol = min(1e-10, 1e-8 * float(np.max(target)))
+    c = np.zeros(u_perp.shape[1])
     x = point(c)
     f = u_perp.T @ (x - target)
     for _ in range(100):
         norm = float(np.max(np.abs(f)))
-        if norm < 1e-10:
+        if norm < tol:
             break
         jac = u_perp.T @ (x[:, None] * u_perp)
         step = np.linalg.solve(jac, -f)
@@ -287,9 +325,9 @@ def birch_point(
     else:
         raise ConvergenceError("Newton did not converge in 100 iterations")
 
-    kapf, sources, nmat = _float_setup(net, kap)
-    residual = float(np.max(np.abs(nmat @ _rates(kapf, sources, x))))
-    if residual >= 1e-10 * max(1.0, float(np.max(_rates(kapf, sources, x)))):
+    rates = model.rates(x)
+    residual = float(np.max(np.abs(model.nmat @ rates)))
+    if residual >= 1e-10 * max(1.0, float(np.max(rates))):
         raise ConvergenceError(f"steady-state residual {residual:.3g} too large")
     return tuple(float(v) for v in x)
 
@@ -297,14 +335,9 @@ def birch_point(
 def class_deviation(net: ReactionNetwork, x: Sequence, x0: Sequence) -> float:
     """Distance of x - x0 from the stoichiometric subspace (infinity norm
     of the orthogonal-complement coordinates)."""
-    for name, vec in (("x", x), ("x0", x0)):
-        if len(vec) != net.n:
-            raise ValueError(f"{name} has {len(vec)} entries, network has {net.n} species")
+    diff = _state(net, x, "x") - _state(net, x0, "x0")
     _, u_perp = _stoichiometric_bases(net)
-    diff = np.array([float(a) - float(b) for a, b in zip(x, x0)])
-    if u_perp.shape[1] == 0:
-        return 0.0
-    return float(np.max(np.abs(u_perp.T @ diff)))
+    return float(np.max(np.abs(u_perp.T @ diff), initial=0.0))
 
 
 class StabilityVerdict(Enum):
@@ -334,14 +367,12 @@ def stability_report(
     Raises:
         ValueError: x_star is not a steady state (residual >= 1e-8).
     """
-    x = np.array([float(v) for v in x_star])
-    if np.any(x <= 0):
-        raise ValueError("x_star must be strictly positive")
-    kap, sources, nmat = _float_setup(net, kappa)
-    residual = float(np.max(np.abs(nmat @ _rates(kap, sources, x))))
+    x = _state(net, x_star, "x_star", positive=True)
+    model = _FloatModel(net, kappa)
+    residual = float(np.max(np.abs(model.rhs(x))))
     if residual >= 1e-8:
         raise ValueError(f"not a steady state: residual {residual:.3g} >= 1e-8")
-    jac = _jacobian_arrays(kap, sources, nmat, x)
+    jac = model.jacobian(x)
     basis, _ = _stoichiometric_bases(net)
     projected = basis.T @ jac @ basis
     eigs = tuple(complex(z) for z in np.linalg.eigvals(projected)) if projected.size else ()

@@ -203,6 +203,7 @@ def decomposition_check(
     """
     induced = induced_graphs(g, split)
     kap = numeric_kappa(net, kappa)
+    whole = state_is_balanced(g, x, kap)  # first: it refuses x of the wrong length
     part_balanced = [
         state_is_balanced(
             part.graph, part.subnetwork.project_state(x), part.subnetwork.project_kappa(kap)
@@ -210,7 +211,6 @@ def decomposition_check(
         for part in induced.parts
     ]
     named = part_balanced[: len(split.subsets)]
-    whole = state_is_balanced(g, x, kap)
     union = state_is_balanced(induced.union_graph, x, kap)
     return DecompositionCheck(
         whole_and_subsets=whole and all(named),

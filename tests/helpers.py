@@ -222,6 +222,21 @@ def random_coarsening(
     return part2.canonical()
 
 
+def _kappa_at_random_state(
+    rng: random.Random, net: ReactionNetwork, flux: list[Fraction]
+) -> tuple[list[Fraction], tuple[Fraction, ...]]:
+    """A positive rational state x* and kappa_j = flux_j / x*^(source_j), so
+    that the mass-action rates at x* equal the flux."""
+    x_star = tuple(Fraction(rng.randint(1, 6), rng.randint(1, 6)) for _ in range(net.n))
+    kappa = []
+    for j, r in enumerate(net.reactions):
+        denom = Fraction(1)
+        for xv, e in zip(x_star, net.complexes[r.source].coeffs):
+            denom *= xv**e
+        kappa.append(flux[j] / denom)
+    return kappa, x_star
+
+
 def balanced_kappa(
     rng: random.Random, graph: ReactionGraph
 ) -> tuple[list[Fraction], tuple[Fraction, ...]]:
@@ -231,14 +246,47 @@ def balanced_kappa(
     rational state x*, then sets kappa_j = flux_j / x*^(source_j) so the
     mass-action rates at x* equal the flux.
     """
-    net = graph.network
-    weights = [random_fraction(rng) for _ in range(net.p)]
+    weights = [random_fraction(rng) for _ in range(graph.network.p)]
+    return _kappa_at_random_state(rng, graph.network, positive_kernel_flux(graph, weights))
+
+
+def long_cycle(graph: ReactionGraph) -> list[int] | None:
+    """Edge indices of a directed cycle of length >= 3, or None if there is none."""
+    for j, (a, b) in enumerate(graph.edges):
+        # breadth-first path b -> a that does not take an edge b -> a
+        via: dict[int, int | None] = {b: None}
+        queue = [b]
+        while queue and a not in via:
+            node = queue.pop(0)
+            for k, (s, t) in enumerate(graph.edges):
+                if s == node and t not in via and (s, t) != (b, a):
+                    via[t] = k
+                    queue.append(t)
+        if a in via:
+            cycle, node = [j], a
+            while node != b:
+                cycle.append(via[node])
+                node = graph.edges[via[node]][0]
+            return cycle
+    return None
+
+
+def circulating_kappa(
+    rng: random.Random, graph: ReactionGraph
+) -> tuple[list[Fraction], tuple[Fraction, ...]] | None:
+    """Like balanced_kappa, with a positive multiple of a directed cycle of
+    length >= 3 added to the flux; None when graph has no such cycle.
+
+    On the complex graph of a reversible network the flux is then no
+    longer symmetric, so kappa is complex balanced but in general not
+    detailed balanced (balanced_kappa's flux there is symmetric).
+    """
+    cycle = long_cycle(graph)
+    if cycle is None:
+        return None
+    weights = [random_fraction(rng) for _ in range(graph.network.p)]
     flux = positive_kernel_flux(graph, weights)
-    x_star = tuple(Fraction(rng.randint(1, 6), rng.randint(1, 6)) for _ in range(net.n))
-    kappa = []
-    for j, r in enumerate(net.reactions):
-        denom = Fraction(1)
-        for xv, e in zip(x_star, net.complexes[r.source].coeffs):
-            denom *= xv**e
-        kappa.append(flux[j] / denom)
-    return kappa, x_star
+    extra = random_fraction(rng)
+    for j in cycle:
+        flux[j] += extra
+    return _kappa_at_random_state(rng, graph.network, flux)

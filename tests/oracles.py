@@ -152,6 +152,46 @@ def wegscheider_holds(net, kappa: Sequence) -> bool:
     return True
 
 
+def relation_jacobian_rank(
+    labels: Sequence[Sequence[int]], edges: Sequence[tuple[int, int]], kappa: Sequence
+) -> tuple[int, int]:
+    """(kernel dimension, rank of J) for a weakly reversible graph.
+
+    Nodes are 1..len(labels) with the given complex labels, and edge j
+    carries kappa[j]. The Cayley matrix stacks the labels on component
+    indicators, and its kernel comes from sympy. Then
+    J[u][j] = sum_i u_i kappa_j dK_i/dkappa_j / K_i, where K_i sums the
+    edge products of the in-trees of node i's component rooted at i, and
+    kappa_j dK_i/dkappa_j sums those of the trees that use edge j (tree
+    constants are multilinear). Its rank counts the independent relations.
+    """
+    m = len(labels)
+    weak, _ = weak_and_strong_components(m, edges)
+    components = sorted(sorted(c) for c in weak)
+    cayley = [[lab[k] for lab in labels] for k in range(len(labels[0]))]
+    cayley += [[1 if v in comp else 0 for v in range(1, m + 1)] for comp in components]
+    basis = sympy_nullspace(cayley)
+    trees_k = [Fraction(0)] * m
+    used = [[Fraction(0)] * len(edges) for _ in range(m)]
+    for comp in components:
+        local = {v: i + 1 for i, v in enumerate(comp)}
+        inner = [j for j, (a, b) in enumerate(edges) if a in local and b in local]
+        local_edges = [(local[edges[j][0]], local[edges[j][1]]) for j in inner]
+        for root in comp:
+            for tree in spanning_in_trees(len(comp), local_edges, local[root]):
+                product = Fraction(1)
+                for t in tree:
+                    product *= Fraction(kappa[inner[t]])
+                trees_k[root - 1] += product
+                for t in tree:
+                    used[root - 1][inner[t]] += product
+    jac = [
+        [sum(u[i] * used[i][j] / trees_k[i] for i in range(m)) for j in range(len(edges))]
+        for u in basis
+    ]
+    return len(basis), sympy_rank(jac) if jac else 0
+
+
 def sympy_bell(k: int) -> int:
     return int(sympy.functions.combinatorial.numbers.bell(k))
 

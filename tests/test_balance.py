@@ -589,3 +589,43 @@ def test_positive_kernel_flux(table1):
         )
     with pytest.raises(NotWeaklyReversibleError):
         positive_kernel_flux(table1[5])
+
+
+def test_the_deficiency_counts_independent_relations(running_wr_graphs, fig2_graphs):
+    # the abstract's deficiency theorem: at a balanced kappa the log
+    # Jacobian of the relations K^u = 1 has full rank, checked by in-tree
+    # enumeration and a sympy kernel, with no package algebra
+    rng = random.Random(2009)
+    graphs = [*running_wr_graphs, *fig2_graphs.values()]
+    graphs += [helpers.random_wr_graph(rng) for _ in range(200)]
+    deficiencies = []
+    for g in graphs:
+        kappa, _ = helpers.balanced_kappa(rng, g)
+        labels = [g.label_vector(node) for node in range(1, g.m + 1)]
+        dimension, rank = oracles.relation_jacobian_rank(labels, g.edges, kappa)
+        assert dimension == rank == g.deficiency, (g.edges, kappa)
+        deficiencies.append(g.deficiency)
+    assert sum(d >= 1 for d in deficiencies) >= 80, deficiencies
+    assert max(deficiencies) >= 3
+
+
+def test_a_complex_balanced_kappa_need_not_be_detailed_balanced():
+    # the paper's two special cases differ. balanced_kappa's flux on a
+    # reversible complex graph is symmetric, so detailed balanced; adding
+    # a circulation around a cycle of length >= 3 raises the product of
+    # forward over backward flux ratios on that cycle above 1, which
+    # breaks its Wegscheider condition but keeps complex balance
+    rng = random.Random(1972)
+    networks = 0
+    while networks < 60:
+        net = helpers.random_reversible_network(rng)
+        complex_graph = canonical_complex_graph(net)
+        circulating = helpers.circulating_kappa(rng, complex_graph)
+        if circulating is None:
+            continue
+        networks += 1
+        symmetric, _ = helpers.balanced_kappa(rng, complex_graph)
+        for kappa, expected in ((circulating[0], False), (symmetric, True)):
+            assert check_kappa_balanced(complex_graph, kappa).balanced
+            detailed = check_kappa_balanced(detailed_graph(net), kappa).balanced
+            assert detailed == oracles.wegscheider_holds(net, kappa) == expected, (net, kappa)

@@ -176,6 +176,15 @@ def test_balance_check_exit_codes():
     assert any(not entry["holds"] for entry in report["relations"])
 
 
+def test_balance_check_defaults_to_the_complex_graph():
+    default = run_cli("balance", "check", RUNNING, "--kappa", "1,1,1,1,2,2")
+    complex_graph = run_cli(
+        "balance", "check", RUNNING, "--partition", f"{DATA}/p1.json", "--kappa", "1,1,1,1,2,2"
+    )
+    assert default == complex_graph
+    assert default[0] == 0
+
+
 def test_balance_check_kappa_as_symbol_map():
     kappa = json.dumps({f"k{i}": "1" for i in range(1, 5)} | {"k5": "2", "k6": "2"})
     code, report = run_json(
@@ -266,6 +275,36 @@ def test_simulate_refuses_kappa_outside_the_float_range(kappa, message, capsys):
     assert "Traceback" not in err
 
 
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["simulate", AB, "--kappa", "2,1", "--x0", "1e400,1", "--t-end", "1"],
+         "x0[0] overflows the float range"),
+        (["simulate", AB, "--kappa", "2,1", "--x0", "1e-400,1", "--t-end", "1"],
+         "x0[0] underflows to 0.0"),
+        (["steady-state", AB, "--kappa", "2,1", "--class", "1e400,1"],
+         "x0[0] overflows the float range"),
+    ],
+    ids=["x0 overflow", "x0 underflow", "class overflow"],
+)
+def test_a_state_outside_the_float_range_is_refused(argv, message, capsys):
+    # --x0 1e400 used to end in an OverflowError traceback; 1e-400 ran from 0
+    code, out = run_cli(*argv)
+    assert (code, out) == (2, "")
+    err = capsys.readouterr().err
+    assert message in err
+    assert "Traceback" not in err
+
+
+def test_steady_state_refuses_a_class_without_a_positive_state(capsys):
+    # the class of (0, 0) is {0}; it used to exit 0 with a point at 3.8e-11
+    code, out = run_cli(
+        "steady-state", RUNNING, "--partition", P4, "--kappa", "1,1,1,1,2,2", "--class", "0,0"
+    )
+    assert (code, out) == (2, "")
+    assert capsys.readouterr().err.startswith("error: Newton")
+
+
 @pytest.mark.filterwarnings("error")
 @pytest.mark.parametrize(
     "extra, message",
@@ -333,6 +372,17 @@ def test_decompose_checks_a_state():
         "all_parts": False,
         "agree": True,
     }
+
+
+def test_decompose_refuses_a_short_state(capsys):
+    # a short state used to end in an IndexError traceback
+    code, out = run_cli(
+        "decompose", RUNNING, "--partition", f"{DATA}/p1.json", "--subsets", "1,2,6",
+        "--kappa", "1,1,1,1,2,2", "--state", "1",
+    )
+    assert (code, out) == (2, "")
+    err = capsys.readouterr().err
+    assert err == "error: state has 1 entries, network has 2 species\n"
 
 
 def test_lift_reports_and_verifies():

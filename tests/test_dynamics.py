@@ -12,6 +12,7 @@ import pytest
 import helpers
 import oracles
 from crnbalance import (
+    ConvergenceError,
     NotBalancedError,
     SimulationError,
     StabilityVerdict,
@@ -150,7 +151,7 @@ def test_fixed_step_run_equals_a_plain_rk4(ab):
         ((1.0, 1.0), -1.0, "t_end must be positive"),
         ((1.0, 1.0), 0.0, "t_end must be positive"),
         ((1.0, -1.0), 1.0, "nonnegative"),
-        ((1.0,), 1.0, "1 entries for 2 species"),
+        ((1.0,), 1.0, "x0 has 1 entries, network has 2 species"),
         ((1.0, 1.0), float("nan"), "t_end must be finite"),
         ((1.0, 1.0), float("inf"), "t_end must be finite"),
     ],
@@ -197,6 +198,38 @@ def test_float_setup_refuses_exact_kappa_outside_the_float_range(running, big, m
         stability_report(running, kappa, (1.0, 2.0))
 
 
+@pytest.mark.parametrize(
+    "value, message",
+    [(Fraction(10) ** 400, "overflows the float range"), (Fraction(1, 10**400), "underflows to 0.0")],
+)
+def test_an_exact_state_outside_the_float_range_is_refused_by_name(ab, value, message):
+    # the CLI hands --x0 and --class over exact; 1e400 used to end in an
+    # OverflowError and 1e-400 silently ran from 0
+    match = rf"x0\[0\] {message}"
+    with pytest.raises(ValueError, match=match):
+        simulate(ab, (value, 1), t_end=1.0)
+    with pytest.raises(ValueError, match=match):
+        birch_point(ab, canonical_complex_graph(ab), x0=(value, 1))
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_every_state_input_must_be_finite(ab, bad):
+    # these used to give a SimulationError after RuntimeWarnings, a
+    # LinAlgError or nan
+    state = (bad, 1.0)
+    calls = [
+        lambda: simulate(ab, state, t_end=1.0),
+        lambda: jacobian(ab, state, [2.0, 1.0]),
+        lambda: birch_point(ab, canonical_complex_graph(ab), x0=state),
+        lambda: stability_report(ab, [2.0, 1.0], state),
+        lambda: class_deviation(ab, state, (1.0, 2.0)),
+        lambda: class_deviation(ab, (1.0, 2.0), state),
+    ]
+    for call in calls:
+        with pytest.raises(ValueError, match=r"\[0\] = .* is not finite"):
+            call()
+
+
 def test_simulate_stops_at_max_steps(ab):
     trace = simulate(ab, (3.0, 0.0), t_end=5.0, dt=1e-5, max_steps=10)
     assert trace.steps == 10
@@ -208,6 +241,22 @@ def test_birch_point_ab(ab):
     g = canonical_complex_graph(ab)
     point = birch_point(ab, g, x0=(3.0, 0.0))
     assert point == pytest.approx((1.0, 2.0), abs=1e-8)
+
+
+@pytest.mark.parametrize("x0", [(1e-300, 0.0), (0.0, 0.0)], ids=["tiny class", "zero class"])
+def test_birch_point_never_returns_a_point_outside_a_small_class(ab, x0):
+    # an absolute Newton stop of 1e-10 used to return (2.67e-11, 5.34e-11)
+    # for both: far outside the class of (1e-300, 0), and {0} holds no
+    # positive state at all
+    with pytest.raises(ConvergenceError):
+        birch_point(ab, canonical_complex_graph(ab), x0=x0)
+
+
+def test_birch_point_meets_the_class_relative_to_a_small_x0(ab):
+    x0 = (1e-5, 0.0)
+    point = birch_point(ab, canonical_complex_graph(ab), x0=x0)
+    assert point == pytest.approx((1e-5 / 3, 2e-5 / 3), rel=1e-6)
+    assert class_deviation(ab, point, x0) <= 1e-8 * max(x0)
 
 
 def test_birch_point_g4(running, table1):

@@ -179,6 +179,14 @@ def test_decomposition_check_positive_fixture(running, table1):
         assert check.whole_and_subsets and check.all_parts
 
 
+@pytest.mark.parametrize("x", [(1,), (1, 1, 1)], ids=["short", "long"])
+def test_decomposition_check_refuses_a_state_of_the_wrong_length(running, table1, x):
+    # a short state used to raise IndexError while projecting onto the parts
+    split = SubnetworkSplit(running, ((1, 2, 6),))
+    with pytest.raises(ValueError, match=f"state has {len(x)} entries, network has 2 species"):
+        decomposition_check(running, table1[1], split, KPRIME, x)
+
+
 def test_decomposition_verdicts_agree_on_arbitrary_states(running, table1):
     rng = random.Random(84)
     splits = [

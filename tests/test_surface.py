@@ -131,3 +131,20 @@ def test_every_module_uses_what_it_imports():
         used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
         unused += [f"{path.name}: {name}" for name in sorted(imported - used)]
     assert not unused, f"imported but never used: {unused}"
+
+
+def test_only_dynamics_imports_numpy():
+    # exact inputs become floats in one module; the rest stays exact
+    package = Path(crnbalance.__file__).parent
+    importers = set()
+    for path in sorted(package.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Import):
+                names = [a.name for a in node.names]
+            elif isinstance(node, ast.ImportFrom):
+                names = [node.module or ""]
+            else:
+                continue
+            if any(name.split(".")[0] == "numpy" for name in names):
+                importers.add(path.stem)
+    assert importers == {"dynamics"}
