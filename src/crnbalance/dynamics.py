@@ -277,8 +277,8 @@ def birch_point(
     moves along the steady-state manifold { log x - log x* orthogonal to
     S } until x - x0 lands in S, by damped Newton in the complement
     coordinates. Existence and uniqueness hold whenever kappa satisfies
-    the balance conditions of g. The point returned leaves the class of
-    x0 by at most 1e-10, and by at most 1e-8 max(x0) when that is less.
+    the balance conditions of g. The point x returned leaves the class of
+    x0 by less than min(1e-10, 1e-8 max(x0, x)).
 
     Raises:
         ValueError: x0 or kappa does not fit the network or the float range.
@@ -287,7 +287,6 @@ def birch_point(
     """
     target = None if x0 is None else _state(net, x0, "x0")
     kap = numeric_kappa(net, kappa)
-    model = _FloatModel(net, kap)
     result = solve_positive_steady_state(g, kap)
     if not result.feasible:
         raise NotBalancedError(
@@ -301,14 +300,15 @@ def birch_point(
     def point(c: np.ndarray) -> np.ndarray:
         return np.exp(xi_star + u_perp @ c)
 
-    # a class of tiny states needs a relative stop; the class {0} never meets it
-    tol = min(1e-10, 1e-8 * float(np.max(target)))
+    # relative to max(x0, x): x0 may be tiny, or far below x where a conservation
+    # law has mixed signs; a class without a positive state never meets it
+    scale = float(np.max(target))
     c = np.zeros(u_perp.shape[1])
     x = point(c)
     f = u_perp.T @ (x - target)
     for _ in range(100):
         norm = float(np.max(np.abs(f)))
-        if norm < tol:
+        if norm < min(1e-10, 1e-8 * max(scale, float(np.max(x)))):
             break
         jac = u_perp.T @ (x[:, None] * u_perp)
         step = np.linalg.solve(jac, -f)
@@ -325,6 +325,7 @@ def birch_point(
     else:
         raise ConvergenceError("Newton did not converge in 100 iterations")
 
+    model = _FloatModel(net, kap)
     rates = model.rates(x)
     residual = float(np.max(np.abs(model.nmat @ rates)))
     if residual >= 1e-10 * max(1.0, float(np.max(rates))):

@@ -186,8 +186,9 @@ def test_simulate_rejects_an_infinite_kappa(running):
     [(Fraction(10) ** 400, "overflows"), (Fraction(1, 10**400), "underflows to 0.0")],
 )
 def test_float_setup_refuses_exact_kappa_outside_the_float_range(running, big, message):
-    # an overflow used to escape as a bare OverflowError; an underflow
-    # silently dropped the reaction
+    # the check now lives in dynamics._float, which _FloatModel applies to
+    # kappa; an overflow used to escape as a bare OverflowError, and an
+    # underflow silently dropped the reaction
     kappa = [big, 1, 1, 1, 2, 2]
     match = rf"kappa\[0\] \(reaction r1\) {message}"
     with pytest.raises(ValueError, match=match):
@@ -250,6 +251,16 @@ def test_birch_point_never_returns_a_point_outside_a_small_class(ab, x0):
     # positive state at all
     with pytest.raises(ConvergenceError):
         birch_point(ab, canonical_complex_graph(ab), x0=x0)
+
+
+@pytest.mark.parametrize("x0", [(0.0, 0.0), (1e-12, 0.0)], ids=["zero", "tiny"])
+def test_birch_point_of_an_open_network_meets_a_class_at_zero(x0):
+    # A - B is conserved; the class {x_A = x_B} holds the steady state (1, 1).
+    # A stop scaled by x0 alone refused both: a zero step never got under 0,
+    # and rounding in u_perp.T (x - x0) at x ~ 1 never got under 1e-20
+    net = parse_network("r1: A + B <=> 0 @ 1, 1\n")
+    point = birch_point(net, canonical_complex_graph(net), x0=x0)
+    assert point == pytest.approx((1.0, 1.0), abs=1e-12)
 
 
 def test_birch_point_meets_the_class_relative_to_a_small_x0(ab):
