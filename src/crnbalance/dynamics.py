@@ -3,9 +3,10 @@
 The one module in floating point. The algebraic modules certify exactly
 that a rate vector is node balanced; here exact rate constants and
 states become floats through one rule (``_float``) and one float model
-(``_FloatModel``), which follow the actual ODE dx/dt = N v(x), locate
-the unique positive steady state of a stoichiometric compatibility
-class, and inspect the Jacobian spectrum restricted to the class.
+(``_FloatModel``, a sparse table read on plain floats), which follow the
+actual ODE dx/dt = N v(x), locate the unique positive steady state of a
+stoichiometric compatibility class, and inspect the Jacobian spectrum
+restricted to the class. numpy serves the dense linear algebra alone.
 """
 
 from __future__ import annotations
@@ -53,43 +54,95 @@ def _float(name: str, value) -> float:
     return out
 
 
-def _state(net: ReactionNetwork, x: Sequence, name: str, positive: bool = False) -> np.ndarray:
+def _state(net: ReactionNetwork, x: Sequence, name: str, positive: bool = False) -> list[float]:
     """The rule for every state: one entry per species, each a finite
     float, nonnegative (strictly positive if positive)."""
     if len(x) != net.n:
         raise ValueError(f"{name} has {len(x)} entries, network has {net.n} species")
-    out = np.array([_float(f"{name}[{i}]", v) for i, v in enumerate(x)])
-    if np.any(out <= 0 if positive else out < 0):
+    out = [_float(f"{name}[{i}]", v) for i, v in enumerate(x)]
+    if any(v <= 0 if positive else v < 0 for v in out):
         raise ValueError(f"{name} must be {'strictly positive' if positive else 'nonnegative'}")
     return out
 
 
+def _norm(v: Sequence[float]) -> float:
+    """Infinity norm of v; nan if any entry is nan, so that a nan N v(x)
+    never reads as steady (Python's max would drop a nan not in front)."""
+    norm = 0.0
+    for a in v:
+        a = abs(a)
+        if not a <= norm:  # larger, or nan
+            norm = a
+            if a != a:
+                break
+    return norm
+
+
+def _overflow(x: float, e: float) -> float:
+    """x ** e where that passes the float range: inf, signed as numpy's power."""
+    return math.copysign(math.inf, x) if e % 2 else math.inf
+
+
+def _monomial(x: Sequence[float], source: tuple[tuple[int, float], ...]) -> float:
+    """prod x_i ** e over the (i, e) pairs of source, in their order."""
+    m = 1.0
+    for i, e in source:
+        try:
+            m *= x[i] ** e
+        except OverflowError:
+            m *= _overflow(x[i], e)
+    return m
+
+
 class _FloatModel:
-    """The float form of a network under one rate vector: kappa, the
-    source exponents and N, with the rates, N v and the Jacobian."""
+    """The float form of a network under one rate vector, as one sparse
+    table with a row per reaction j: kappa_j, the source's (species,
+    exponent) pairs with exponent != 0, and column j of N as its
+    (species, entry) pairs with entry != 0. Rates, N v and the Jacobian
+    are read off it in plain floats, each component with the operations
+    of kappa * prod(x ** Y) and N @ v, in the same order (dropped factors
+    x ** 0 = 1 and terms 0 * v are exact no-ops); an x ** e past the
+    float range is inf, as in numpy."""
 
     def __init__(self, net: ReactionNetwork, kappa: Sequence | None):
-        self.kap = np.array([
-            _float(f"kappa[{j}] (reaction r{j + 1})", k)
-            for j, k in enumerate(numeric_kappa(net, kappa))
-        ])
-        self.sources = np.array(
-            [net.complexes[r.source].coeffs for r in net.reactions], dtype=float
+        nmat = net.stoichiometric_matrix
+        self.n = net.n
+        self.table = tuple(
+            (
+                _float(f"kappa[{j}] (reaction r{j + 1})", k),
+                tuple((i, float(e)) for i, e in enumerate(net.complexes[r.source].coeffs) if e),
+                tuple((i, float(row[j])) for i, row in enumerate(nmat) if row[j]),
+            )
+            for j, (k, r) in enumerate(zip(numeric_kappa(net, kappa), net.reactions))
         )
-        self.nmat = np.array(net.stoichiometric_matrix, dtype=float)
 
-    def rates(self, x: np.ndarray) -> np.ndarray:
-        # integral exponents, so numpy's 0^0 = 1 gives the right convention
-        return self.kap * (x[None, :] ** self.sources).prod(axis=1)
+    def rates(self, x: Sequence[float]) -> list[float]:
+        return [k * _monomial(x, source) for k, source, _ in self.table]
 
-    def rhs(self, x: np.ndarray) -> np.ndarray:
-        return self.nmat @ self.rates(x)
+    def rhs(self, x: Sequence[float]) -> list[float]:
+        # simulate's hot path: _monomial inlined, since a call per reaction cost ~12 %
+        dx = [0.0] * self.n
+        for k, source, column in self.table:
+            m = 1.0
+            for i, e in source:
+                try:
+                    m *= x[i] ** e
+                except OverflowError:
+                    m *= _overflow(x[i], e)
+            v = k * m
+            for i, c in column:
+                dx[i] += c * v
+        return dx
 
-    def jacobian(self, x: np.ndarray) -> np.ndarray:
-        v = self.rates(x)
+    def jacobian(self, x: Sequence[float]) -> list[list[float]]:
         # d v_j / d x_k = v_j * y_jk / x_k (monomial differentiation)
-        dv = v[:, None] * self.sources / x[None, :]
-        return self.nmat @ dv
+        jac = [[0.0] * self.n for _ in range(self.n)]
+        for v, (_, source, column) in zip(self.rates(x), self.table):
+            for k, e in source:
+                d = v * e / x[k]
+                for i, c in column:
+                    jac[i][k] += c * d
+        return jac
 
 
 def conservation_laws(net: ReactionNetwork) -> tuple[tuple[int, ...], ...]:
@@ -110,10 +163,10 @@ class SimulationTrace:
         return self.states[-1]
 
 
-def _initial_step(model: _FloatModel, x0: np.ndarray, t_end: float) -> float:
+def _initial_step(model: _FloatModel, x0: list[float], t_end: float) -> float:
     # 1e-3 of the characteristic time read off the Jacobian diagonal
-    jac = model.jacobian(np.maximum(x0, 1e-12))
-    scale = float(np.max(np.abs(np.diag(jac)))) if jac.size else 0.0
+    jac = model.jacobian([max(v, 1e-12) for v in x0])
+    scale = _norm([row[i] for i, row in enumerate(jac)])
     h = 1e-3 / scale if scale > 0 else t_end / 1000.0
     return min(max(h, t_end / 500_000.0), t_end / 100.0)
 
@@ -128,6 +181,18 @@ _CK_A = (
 )
 _CK_B5 = (37 / 378, 0.0, 250 / 621, 125 / 594, 0.0, 512 / 1771)
 _CK_B4 = (2825 / 27648, 0.0, 18575 / 48384, 13525 / 55296, 277 / 14336, 1 / 4)
+
+
+def _advance(x: list[float], h: float, coeffs: tuple[float, ...], k: list[list[float]]) -> list[float]:
+    """x + h * (c1 k1 + c2 k2 + ...), summed in that order from 0.0; zip
+    stops at the shorter of coeffs and k."""
+    out = []
+    for i, xi in enumerate(x):
+        s = 0.0
+        for c, ki in zip(coeffs, k):
+            s += c * ki[i]
+        out.append(xi + h * s)
+    return out
 
 
 def simulate(
@@ -161,13 +226,14 @@ def simulate(
             raise ValueError(f"{name} must be {rule}, got {value}")
     x = _state(net, x0, "x0")
     model = _FloatModel(net, kappa)
+    rhs = model.rhs
     h = float(dt) if dt is not None else _initial_step(model, x, t_end)
     h_min = max(t_end, 1.0) * 1e-14
     t = 0.0
     times = [0.0]
-    states = [tuple(float(v) for v in x)]
-    fx = model.rhs(x)  # N v(x) at the current state: the residual and the next k1
-    residual = float(np.max(np.abs(fx)))
+    states = [tuple(x)]
+    fx = rhs(x)  # N v(x) at the current state: the residual and the next k1
+    residual = _norm(fx)
     steady = residual < STEADY_TOL
     steps = 0
 
@@ -176,29 +242,36 @@ def simulate(
         h = min(h, t_end - t)
         if h < h_min:
             raise SimulationError(f"step size underflow at t={t:.6g}")
+        # states are float lists; each component takes the operations of the
+        # array form x + h * (b1 * k1 + ...), in the same order
         if adaptive:
             k = [fx]
             for stage in range(1, 6):
-                xs = x + h * sum(a * ki for a, ki in zip(_CK_A[stage], k))
-                k.append(model.rhs(xs))
-            x5 = x + h * sum(b * ki for b, ki in zip(_CK_B5, k))
-            x4 = x + h * sum(b * ki for b, ki in zip(_CK_B4, k))
-            scale = tol * np.maximum(1.0, np.maximum(np.abs(x), np.abs(x5)))
-            err = float(np.max(np.abs(x5 - x4) / scale)) if net.n else 0.0
+                k.append(rhs(_advance(x, h, _CK_A[stage], k)))
+            x_new = _advance(x, h, _CK_B5, k)
+            x4 = _advance(x, h, _CK_B4, k)
+            err = _norm([
+                abs(b5 - b4) / (tol * max(1.0, max(abs(a), abs(b5))))
+                for a, b5, b4 in zip(x, x_new, x4)
+            ])
             accept = err <= 1.0
-            x_new = x5
         else:
-            k1 = fx
-            k2 = model.rhs(x + 0.5 * h * k1)
-            k3 = model.rhs(x + 0.5 * h * k2)
-            k4 = model.rhs(x + h * k3)
-            x_new = x + (h / 6.0) * (k1 + 2 * k2 + 2 * k3 + k4)
+            hh = 0.5 * h
+            k2 = rhs([a + hh * b for a, b in zip(x, fx)])
+            k3 = rhs([a + hh * b for a, b in zip(x, k2)])
+            k4 = rhs([a + h * b for a, b in zip(x, k3)])
+            h6 = h / 6.0
+            x_new = [
+                a + h6 * (b1 + 2.0 * b2 + 2.0 * b3 + b4)
+                for a, b1, b2, b3, b4 in zip(x, fx, k2, k3, k4)
+            ]
             accept = True
-        if not np.all(np.isfinite(x_new)):
+        if not all(map(math.isfinite, x_new)):
             raise SimulationError(f"non-finite state at t={t + h:.6g}")
-        if np.any(x_new < 0):
-            if float(np.min(x_new)) > -1e-12:
-                x_new = np.maximum(x_new, 0.0)
+        low = min(x_new)
+        if low < 0:
+            if low > -1e-12:
+                x_new = [max(v, 0.0) for v in x_new]
             else:
                 accept = False
         steps += 1
@@ -208,11 +281,11 @@ def simulate(
         t += h
         x = x_new
         times.append(t)
-        states.append(tuple(float(v) for v in x))
+        states.append(tuple(x))
         if adaptive:
             h *= min(5.0, max(0.2, 0.9 * (err + 1e-16) ** -0.2))
-        fx = model.rhs(x)
-        residual = float(np.max(np.abs(fx)))
+        fx = rhs(x)
+        residual = _norm(fx)
         steady = residual < STEADY_TOL
 
     if len(states) > 2001:
@@ -226,7 +299,7 @@ def simulate(
 def jacobian(net: ReactionNetwork, x: Sequence, kappa: Sequence | None = None) -> np.ndarray:
     """n x n Jacobian of N v at a positive state."""
     xf = _state(net, x, "x", positive=True)
-    return _FloatModel(net, kappa).jacobian(xf)
+    return np.array(_FloatModel(net, kappa).jacobian(xf))
 
 
 def _stoichiometric_bases(net: ReactionNetwork) -> tuple[np.ndarray, np.ndarray]:
@@ -278,14 +351,15 @@ def birch_point(
     S } until x - x0 lands in S, by damped Newton in the complement
     coordinates. Existence and uniqueness hold whenever kappa satisfies
     the balance conditions of g. The point x returned leaves the class of
-    x0 by less than min(1e-10, 1e-8 max(x0, x)).
+    x0 by less than max(min(1e-10, 1e-8 M), 16 eps M) with M = max(x0, x):
+    relative for small classes, and a few ulps of M for large ones.
 
     Raises:
         ValueError: x0 or kappa does not fit the network or the float range.
         NotBalancedError: kappa fails the balance conditions.
         ConvergenceError: Newton stalled or left tolerance unmet.
     """
-    target = None if x0 is None else _state(net, x0, "x0")
+    target = None if x0 is None else np.array(_state(net, x0, "x0"))
     kap = numeric_kappa(net, kappa)
     result = solve_positive_steady_state(g, kap)
     if not result.feasible:
@@ -300,43 +374,47 @@ def birch_point(
     def point(c: np.ndarray) -> np.ndarray:
         return np.exp(xi_star + u_perp @ c)
 
-    # relative to max(x0, x): x0 may be tiny, or far below x where a conservation
-    # law has mixed signs; a class without a positive state never meets it
+    # relative to M = max(x0, x): x0 may be tiny, or far below x where a
+    # conservation law has mixed signs; a class without a positive state never
+    # meets it. Floored at 16 eps M, since no float step gets x closer than ulps
     scale = float(np.max(target))
     c = np.zeros(u_perp.shape[1])
     x = point(c)
     f = u_perp.T @ (x - target)
     for _ in range(100):
         norm = float(np.max(np.abs(f)))
-        if norm < min(1e-10, 1e-8 * max(scale, float(np.max(x)))):
+        big = max(scale, float(np.max(x)))
+        if norm < max(min(1e-10, 1e-8 * big), 16 * np.finfo(float).eps * big):
             break
         jac = u_perp.T @ (x[:, None] * u_perp)
         step = np.linalg.solve(jac, -f)
-        for _ in range(60):
-            c_new = c + step
-            x_new = point(c_new)
-            f_new = u_perp.T @ (x_new - target)
-            if float(np.max(np.abs(f_new))) < norm:
-                break
-            step *= 0.5
-        else:
-            raise ConvergenceError("Newton damping exhausted (60 halvings)")
+        # a trial past the float range is not finite, and so rejected below
+        with np.errstate(over="ignore"):
+            for _ in range(60):
+                c_new = c + step
+                x_new = point(c_new)
+                f_new = u_perp.T @ (x_new - target)
+                if float(np.max(np.abs(f_new))) < norm:
+                    break
+                step *= 0.5
+            else:
+                raise ConvergenceError("Newton damping exhausted (60 halvings)")
         c, x, f = c_new, x_new, f_new
     else:
         raise ConvergenceError("Newton did not converge in 100 iterations")
 
+    x = x.tolist()
     model = _FloatModel(net, kap)
-    rates = model.rates(x)
-    residual = float(np.max(np.abs(model.nmat @ rates)))
-    if residual >= 1e-10 * max(1.0, float(np.max(rates))):
+    residual = _norm(model.rhs(x))
+    if not residual < 1e-10 * max(1.0, _norm(model.rates(x))):
         raise ConvergenceError(f"steady-state residual {residual:.3g} too large")
-    return tuple(float(v) for v in x)
+    return tuple(x)
 
 
 def class_deviation(net: ReactionNetwork, x: Sequence, x0: Sequence) -> float:
     """Distance of x - x0 from the stoichiometric subspace (infinity norm
     of the orthogonal-complement coordinates)."""
-    diff = _state(net, x, "x") - _state(net, x0, "x0")
+    diff = np.array(_state(net, x, "x")) - np.array(_state(net, x0, "x0"))
     _, u_perp = _stoichiometric_bases(net)
     return float(np.max(np.abs(u_perp.T @ diff), initial=0.0))
 
@@ -370,10 +448,10 @@ def stability_report(
     """
     x = _state(net, x_star, "x_star", positive=True)
     model = _FloatModel(net, kappa)
-    residual = float(np.max(np.abs(model.rhs(x))))
-    if residual >= 1e-8:
+    residual = _norm(model.rhs(x))
+    if not residual < 1e-8:
         raise ValueError(f"not a steady state: residual {residual:.3g} >= 1e-8")
-    jac = model.jacobian(x)
+    jac = np.array(model.jacobian(x))
     basis, _ = _stoichiometric_bases(net)
     projected = basis.T @ jac @ basis
     eigs = tuple(complex(z) for z in np.linalg.eigvals(projected)) if projected.size else ()

@@ -27,6 +27,7 @@ from crnbalance import (
     stability_report,
     tree_constants_eval,
 )
+from crnbalance.dynamics import STEADY_TOL
 
 KPRIME = [Fraction(v) for v in (1, 1, 1, 1, 2, 2)]
 
@@ -145,6 +146,95 @@ def test_fixed_step_run_equals_a_plain_rk4(ab):
     assert trace.steps == len(states) - 1
 
 
+def _dense_fixed_run(net, x0, kappa, dt, t_end):
+    """Fixed-step simulate written over dense numpy arrays: v = kappa *
+    prod(x ** Y) and N @ v, with the same stop, clip and reject rules."""
+    kap = np.array([float(k) for k in kappa])
+    sources = np.array([net.complexes[r.source].coeffs for r in net.reactions], dtype=float)
+    nmat = np.array(net.stoichiometric_matrix, dtype=float)
+
+    def rhs(x):
+        return nmat @ (kap * (x[None, :] ** sources).prod(axis=1))
+
+    x, t, h, h_min = np.array(x0, dtype=float), 0.0, dt, max(t_end, 1.0) * 1e-14
+    states, fx = [x], rhs(x)
+    while np.max(np.abs(fx)) >= STEADY_TOL and t_end - t > h_min:
+        h = min(h, t_end - t)
+        k2 = rhs(x + 0.5 * h * fx)
+        k3 = rhs(x + 0.5 * h * k2)
+        k4 = rhs(x + h * k3)
+        x_new = x + (h / 6.0) * (fx + 2 * k2 + 2 * k3 + k4)
+        if np.min(x_new) < 0:
+            if np.min(x_new) <= -1e-12:
+                h *= 0.5
+                continue
+            x_new = np.maximum(x_new, 0.0)
+        t, x = t + h, x_new
+        states.append(x)
+        fx = rhs(x)
+    return states
+
+
+def _random_network_text(rng):
+    """1 to 5 reactions over up to 4 species, between complexes with
+    coefficients up to 3, the zero complex among them."""
+    names = [f"S{i + 1}" for i in range(rng.randint(1, 4))]
+
+    def complex_text():
+        coeffs = [rng.choice((0, 0, 1, 2, 3)) for _ in names]
+        return " + ".join(f"{c} {s}" if c > 1 else s for s, c in zip(names, coeffs) if c) or "0"
+
+    reactions = set()
+    while len(reactions) < rng.randint(1, 5):
+        source, target = complex_text(), complex_text()
+        if source != target:
+            reactions.add((source, target))
+    return "".join(f"r{j + 1}: {a} -> {b} @ 1\n" for j, (a, b) in enumerate(sorted(reactions)))
+
+
+def test_sparse_fixed_steps_agree_with_a_dense_rk4(running, fig2):
+    # a network holds no species outside every reaction, so the corners of
+    # the sparse table are a species that no reaction changes (C) and a
+    # species in no source complex, beside 0 -> A, exponent 3 and n = 1
+    rng = random.Random(151)
+    cases = [
+        (running, [1.0, 2.0, 0.5, 1.5, 2.0, 1.0], (0.8, 1.3)),
+        (fig2, [1.0, 2.0, 0.5, 1.5, 2.0, 1.0, 0.7, 1.2], (0.4, 1.1, 0.9, 0.2)),
+        (parse_network("r1: A + C -> B + C @ 1.5\nr2: B -> A @ 0.5\n"), [1.5, 0.5], (1.0, 0.5, 0.3)),
+        (parse_network("r1: 0 -> A @ 1\nr2: 3 A -> 2 A @ 2\n"), [1.0, 2.0], (0.7,)),
+    ]
+    while len(cases) < 44:
+        net = parse_network(_random_network_text(rng))
+        kappa = [rng.uniform(0.5, 2.0) for _ in range(net.p)]
+        cases.append((net, kappa, tuple(rng.uniform(0.2, 1.5) for _ in range(net.n))))
+    sources = [
+        [net.complexes[r.source].coeffs for r in net.reactions] for net, _, _ in cases
+    ]
+    assert sum(net.n == 1 for net, _, _ in cases) > 1
+    assert sum(any(3 in y for y in ys) for ys in sources) > 1
+    assert sum(any(not any(y) for y in ys) for ys in sources) > 1
+    assert sum(
+        not any(y[i] for y in ys) for (net, _, _), ys in zip(cases, sources) for i in range(net.n)
+    ) > 1
+    assert sum(not any(row) for net, _, _ in cases for row in net.stoichiometric_matrix) > 1
+    for net, kappa, x0 in cases:
+        trace = simulate(net, x0, kappa, t_end=0.3, dt=0.01)
+        dense = _dense_fixed_run(net, x0, kappa, 0.01, 0.3)
+        assert len(trace.states) == len(dense)
+        for row, expected in zip(trace.states, dense):
+            bound = 1e-13 * max(1.0, float(np.max(np.abs(expected))))
+            assert float(np.max(np.abs(np.array(row) - expected))) <= bound
+
+
+def test_a_nan_right_hand_side_never_reads_as_steady():
+    # at A = 1e154 the two rates 1e308 make dA/dt = 2e308 - 2e308 = inf - inf;
+    # Python's max drops that nan behind the 0 of species B and read the
+    # start as steady after 0 steps
+    net = parse_network("species: B A\nr1: 2 A -> 4 A @ 1\nr2: 2 A -> 0 @ 1\nr3: B -> 0 @ 1\n")
+    with pytest.raises(SimulationError, match="non-finite"):
+        simulate(net, (0.0, 1e154), t_end=1.0, dt=0.1)
+
+
 @pytest.mark.parametrize(
     "x0, t_end, message",
     [
@@ -242,6 +332,17 @@ def test_birch_point_ab(ab):
     g = canonical_complex_graph(ab)
     point = birch_point(ab, g, x0=(3.0, 0.0))
     assert point == pytest.approx((1.0, 2.0), abs=1e-8)
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("scale", [1e6, 1e8])
+def test_birch_point_meets_a_large_class(ab, scale):
+    # the stop min(1e-10, 1e-8 max(x0, x)) sat below one ulp of x, so no
+    # Newton step met it and damping ran out after an exp overflow warning
+    x0 = (3 * scale, 0.0)
+    point = birch_point(ab, canonical_complex_graph(ab), x0=x0)
+    assert point == pytest.approx((scale, 2 * scale), rel=1e-12)
+    assert class_deviation(ab, point, x0) <= 16 * np.finfo(float).eps * 2 * scale
 
 
 @pytest.mark.parametrize("x0", [(1e-300, 0.0), (0.0, 0.0)], ids=["tiny class", "zero class"])
