@@ -152,6 +152,9 @@ def conservation_laws(net: ReactionNetwork) -> tuple[tuple[int, ...], ...]:
 
 @dataclass(frozen=True)
 class SimulationTrace:
+    """What simulate returns. A run of up to 2,001 rows keeps every row; a longer
+    one keeps its first and last and at most 1,999 between, at a power-of-two
+    stride, so memory stays O(2,001). steps counts rejected attempts too."""
     times: tuple[float, ...]
     states: tuple[tuple[float, ...], ...]
     steady: bool
@@ -195,6 +198,35 @@ def _advance(x: list[float], h: float, coeffs: tuple[float, ...], k: list[list[f
     return out
 
 
+def _rk4_step(rhs, x: list[float], fx: list[float], h: float, tol: float):
+    """A classical Runge-Kutta step: (x_new, no error, h kept), fx = rhs(x)."""
+    # per component, the operations of the array form x + h * (b1 * k1 + ...), in order
+    hh = 0.5 * h
+    k2 = rhs([a + hh * b for a, b in zip(x, fx)])
+    k3 = rhs([a + hh * b for a, b in zip(x, k2)])
+    k4 = rhs([a + h * b for a, b in zip(x, k3)])
+    h6 = h / 6.0
+    x_new = [
+        a + h6 * (b1 + 2.0 * b2 + 2.0 * b3 + b4)
+        for a, b1, b2, b3, b4 in zip(x, fx, k2, k3, k4)
+    ]
+    return x_new, 0.0, h
+
+
+def _cash_karp_step(rhs, x: list[float], fx: list[float], h: float, tol: float):
+    """A Cash-Karp 4(5) step: (x_new, error norm over tol, next h), fx = rhs(x)."""
+    k = [fx]
+    for stage in range(1, 6):
+        k.append(rhs(_advance(x, h, _CK_A[stage], k)))
+    x_new = _advance(x, h, _CK_B5, k)
+    x4 = _advance(x, h, _CK_B4, k)
+    err = _norm([
+        abs(b5 - b4) / (tol * max(1.0, max(abs(a), abs(b5))))
+        for a, b5, b4 in zip(x, x_new, x4)
+    ])
+    return x_new, err, h * min(5.0, max(0.2, 0.9 * (err + 1e-16) ** -0.2))
+
+
 def simulate(
     net: ReactionNetwork,
     x0: Sequence,
@@ -226,74 +258,48 @@ def simulate(
             raise ValueError(f"{name} must be {rule}, got {value}")
     x = _state(net, x0, "x0")
     model = _FloatModel(net, kappa)
-    rhs = model.rhs
+    step = _cash_karp_step if adaptive else _rk4_step
     h = float(dt) if dt is not None else _initial_step(model, x, t_end)
     h_min = max(t_end, 1.0) * 1e-14
     t = 0.0
-    times = [0.0]
-    states = [tuple(x)]
-    fx = rhs(x)  # N v(x) at the current state: the residual and the next k1
+    rows = []  # every stride-th accepted (t, state) before the latest; see SimulationTrace
+    accepted, stride = 0, 1
+    fx = model.rhs(x)  # N v(x) at the current state: the residual and the next k1
     residual = _norm(fx)
-    steady = residual < STEADY_TOL
     steps = 0
 
     # summed steps can land a rounding sliver short of t_end; that sliver ends the run
-    while not steady and t_end - t > h_min and steps < max_steps:
+    while not residual < STEADY_TOL and t_end - t > h_min and steps < max_steps:
         h = min(h, t_end - t)
         if h < h_min:
             raise SimulationError(f"step size underflow at t={t:.6g}")
-        # states are float lists; each component takes the operations of the
-        # array form x + h * (b1 * k1 + ...), in the same order
-        if adaptive:
-            k = [fx]
-            for stage in range(1, 6):
-                k.append(rhs(_advance(x, h, _CK_A[stage], k)))
-            x_new = _advance(x, h, _CK_B5, k)
-            x4 = _advance(x, h, _CK_B4, k)
-            err = _norm([
-                abs(b5 - b4) / (tol * max(1.0, max(abs(a), abs(b5))))
-                for a, b5, b4 in zip(x, x_new, x4)
-            ])
-            accept = err <= 1.0
-        else:
-            hh = 0.5 * h
-            k2 = rhs([a + hh * b for a, b in zip(x, fx)])
-            k3 = rhs([a + hh * b for a, b in zip(x, k2)])
-            k4 = rhs([a + h * b for a, b in zip(x, k3)])
-            h6 = h / 6.0
-            x_new = [
-                a + h6 * (b1 + 2.0 * b2 + 2.0 * b3 + b4)
-                for a, b1, b2, b3, b4 in zip(x, fx, k2, k3, k4)
-            ]
-            accept = True
+        x_new, err, h_next = step(model.rhs, x, fx, h, tol)
         if not all(map(math.isfinite, x_new)):
             raise SimulationError(f"non-finite state at t={t + h:.6g}")
         low = min(x_new)
-        if low < 0:
-            if low > -1e-12:
-                x_new = [max(v, 0.0) for v in x_new]
-            else:
-                accept = False
+        if low <= -1e-12:
+            err = math.inf
+        elif low < 0:
+            x_new = [max(v, 0.0) for v in x_new]
         steps += 1
-        if not accept:
+        if not err <= 1.0:  # also rejects a nan error estimate
             h *= 0.5
             continue
+        if accepted % stride == 0:
+            rows.append((t, tuple(x)))
+            if len(rows) > 2000:
+                del rows[1::2]
+                stride *= 2
+        accepted += 1
         t += h
         x = x_new
-        times.append(t)
-        states.append(tuple(x))
-        if adaptive:
-            h *= min(5.0, max(0.2, 0.9 * (err + 1e-16) ** -0.2))
-        fx = rhs(x)
+        h = h_next
+        fx = model.rhs(x)
         residual = _norm(fx)
-        steady = residual < STEADY_TOL
 
-    if len(states) > 2001:
-        stride = (len(states) - 1) // 2000 + 1
-        keep = list(range(0, len(states) - 1, stride)) + [len(states) - 1]
-        times = [times[i] for i in keep]
-        states = [states[i] for i in keep]
-    return SimulationTrace(tuple(times), tuple(states), steady, residual, steps)
+    rows.append((t, tuple(x)))
+    times, states = zip(*rows)
+    return SimulationTrace(times, states, residual < STEADY_TOL, residual, steps)
 
 
 def jacobian(net: ReactionNetwork, x: Sequence, kappa: Sequence | None = None) -> np.ndarray:

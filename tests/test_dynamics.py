@@ -3,14 +3,19 @@
 from __future__ import annotations
 
 import math
+import os
 import random
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 import helpers
 import oracles
+import crnbalance
 from crnbalance import (
     ConvergenceError,
     NotBalancedError,
@@ -99,6 +104,68 @@ def test_simulate_caps_stored_rows(ab):
     assert trace.steps > 100_000
     assert len(trace.times) <= 2001
     assert len(trace.times) == len(trace.states)
+
+
+def test_a_long_run_holds_only_the_rows_it_keeps():
+    # rows used to be kept for every step and thinned after the run: these
+    # 50,000 steps grew the peak RSS by about 8.5 MB to return under 2,001 rows
+    code = (
+        "import resource\n"
+        "from crnbalance import parse_network, simulate\n"
+        "ab = parse_network('species: A B\\nr1: A <=> B @ 2, 1\\n')\n"
+        "before = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss\n"
+        "simulate(ab, (3.0, 0.0), [2, 1], t_end=0.5, dt=1e-5)\n"
+        "print(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss - before)\n"
+    )
+    # a child starts from the ru_maxrss of the process that forked it, pytest's
+    # here, so the measured run is the grandchild of a bare interpreter
+    spawn = (
+        "import subprocess, sys\n"
+        "subprocess.run([sys.executable, '-c', sys.argv[1]], check=True)\n"
+    )
+    src = str(Path(crnbalance.__file__).resolve().parent.parent)
+    out = subprocess.run(
+        [sys.executable, "-c", spawn, code],
+        env={**os.environ, "PYTHONPATH": src}, capture_output=True, text=True, check=True,
+    )
+    assert int(out.stdout) < 3 * 1024  # ru_maxrss is in KB on Linux
+
+
+def test_simulate_keeps_every_row_of_a_run_up_to_2001_rows():
+    # steps of 2**-10 sum exactly, so t_end ends the run after 2000 or 2001 steps
+    net = parse_network("r1: A -> B @ 1\n")
+    trace = simulate(net, (1.0, 0.0), t_end=2000 / 1024, dt=1 / 1024)
+    assert trace.steps == 2000
+    assert trace.times == tuple(k / 1024 for k in range(2001))
+    assert len(trace.states) == 2001
+    trace = simulate(net, (1.0, 0.0), t_end=2001 / 1024, dt=1 / 1024)
+    assert trace.steps == 2001
+    assert len(trace.times) == len(trace.states) <= 2001
+
+
+def test_a_long_fixed_run_keeps_evenly_spaced_rows_and_its_last_state():
+    net = parse_network("r1: A -> B @ 1\n")
+    h, steps = 1 / 1024, 10_000
+    trace = simulate(net, (1.0, 0.0), t_end=steps * h, dt=h)
+    assert trace.steps == steps and not trace.steady
+    assert 1001 < len(trace.times) == len(trace.states) <= 2001
+    assert trace.times[0] == 0.0 and trace.states[0] == (1.0, 0.0)
+    assert trace.times[-1] == steps * h
+    amplification = sum((-h) ** k / math.factorial(k) for k in range(5))
+    assert trace.states[-1][0] == pytest.approx(amplification ** steps, rel=1e-10)
+    gaps = [b - a for a, b in zip(trace.times, trace.times[1:])]
+    assert len(set(gaps[:-1])) == 1
+    assert 0 < gaps[-1] <= gaps[0]
+
+
+def test_a_long_adaptive_run_keeps_at_most_2001_increasing_rows():
+    # a centre: the orbit through (2, 1) never settles, so no steady stop
+    net = parse_network("r1: A -> 2 A @ 1\nr2: A + B -> 2 B @ 1\nr3: B -> 0 @ 1\n")
+    trace = simulate(net, (2.0, 1.0), t_end=200.0, adaptive=True, tol=1e-12)
+    assert trace.steps > 2 * 2001 and not trace.steady
+    assert 1001 < len(trace.times) == len(trace.states) <= 2001
+    assert all(a < b for a, b in zip(trace.times, trace.times[1:]))
+    assert trace.times[-1] == pytest.approx(200.0)
 
 
 def test_simulate_ends_on_a_whole_number_of_default_steps(running):
@@ -224,6 +291,83 @@ def test_sparse_fixed_steps_agree_with_a_dense_rk4(running, fig2):
         for row, expected in zip(trace.states, dense):
             bound = 1e-13 * max(1.0, float(np.max(np.abs(expected))))
             assert float(np.max(np.abs(np.array(row) - expected))) <= bound
+
+
+_CK_TABLEAU = np.array([
+    [0.0, 0.0, 0.0, 0.0, 0.0],
+    [1 / 5, 0.0, 0.0, 0.0, 0.0],
+    [3 / 40, 9 / 40, 0.0, 0.0, 0.0],
+    [3 / 10, -9 / 10, 6 / 5, 0.0, 0.0],
+    [-11 / 54, 5 / 2, -70 / 27, 35 / 27, 0.0],
+    [1631 / 55296, 175 / 512, 575 / 13824, 44275 / 110592, 253 / 4096],
+])
+_CK_B5 = np.array([37 / 378, 0.0, 250 / 621, 125 / 594, 0.0, 512 / 1771])
+_CK_B4 = np.array([2825 / 27648, 0.0, 18575 / 48384, 13525 / 55296, 277 / 14336, 1 / 4])
+
+
+def _dense_adaptive_run(net, x0, kappa, dt, t_end, tol):
+    """Adaptive simulate written over dense numpy arrays: the Cash-Karp
+    tableau as arrays, each combination summed in tableau order, with the
+    same stop, clip, reject and growth rules."""
+    kap = np.array([float(k) for k in kappa])
+    sources = np.array([net.complexes[r.source].coeffs for r in net.reactions], dtype=float)
+    nmat = np.array(net.stoichiometric_matrix, dtype=float)
+
+    def rhs(x):
+        return nmat @ (kap * (x[None, :] ** sources).prod(axis=1))
+
+    x, t, h, h_min = np.array(x0, dtype=float), 0.0, dt, max(t_end, 1.0) * 1e-14
+    states, fx = [x], rhs(x)
+    while np.max(np.abs(fx)) >= STEADY_TOL and t_end - t > h_min:
+        h = min(h, t_end - t)
+        k = [fx]
+        for stage in range(1, 6):
+            k.append(rhs(x + h * sum(c * ki for c, ki in zip(_CK_TABLEAU[stage], k))))
+        x_new = x + h * sum(c * ki for c, ki in zip(_CK_B5, k))
+        x4 = x + h * sum(c * ki for c, ki in zip(_CK_B4, k))
+        scale = tol * np.maximum(1.0, np.maximum(np.abs(x), np.abs(x_new)))
+        err = np.max(np.abs(x_new - x4) / scale)
+        if np.min(x_new) <= -1e-12:
+            err = math.inf
+        elif np.min(x_new) < 0:
+            x_new = np.maximum(x_new, 0.0)
+        if not err <= 1.0:
+            h *= 0.5
+            continue
+        t, x = t + h, x_new
+        states.append(x)
+        fx = rhs(x)
+        h *= min(5.0, max(0.2, 0.9 * (err + 1e-16) ** -0.2))
+    return states
+
+
+def test_sparse_adaptive_steps_agree_with_a_dense_cash_karp(running, fig2):
+    # the cases of the dense RK4 test above, from the same seed
+    rng = random.Random(151)
+    cases = [
+        (running, [1.0, 2.0, 0.5, 1.5, 2.0, 1.0], (0.8, 1.3)),
+        (fig2, [1.0, 2.0, 0.5, 1.5, 2.0, 1.0, 0.7, 1.2], (0.4, 1.1, 0.9, 0.2)),
+        (parse_network("r1: A + C -> B + C @ 1.5\nr2: B -> A @ 0.5\n"), [1.5, 0.5], (1.0, 0.5, 0.3)),
+        (parse_network("r1: 0 -> A @ 1\nr2: 3 A -> 2 A @ 2\n"), [1.0, 2.0], (0.7,)),
+    ]
+    while len(cases) < 44:
+        net = parse_network(_random_network_text(rng))
+        kappa = [rng.uniform(0.5, 2.0) for _ in range(net.p)]
+        cases.append((net, kappa, tuple(rng.uniform(0.2, 1.5) for _ in range(net.n))))
+    # an ulp of N v(x) moves the error estimate by about eps / tol relative, and
+    # with it the next step and the times of later rows: tol = 1e-3 keeps that
+    # far below the bound, where 1e-6 already moved rows by up to 9e-10
+    rejected = grown = 0
+    for net, kappa, x0 in cases:
+        trace = simulate(net, x0, kappa, t_end=0.3, dt=0.01, adaptive=True, tol=1e-3)
+        dense = _dense_adaptive_run(net, x0, kappa, 0.01, 0.3, 1e-3)
+        assert len(trace.states) == len(dense)
+        rejected += trace.steps - (len(dense) - 1)
+        grown += len(dense) < 31
+        for row, expected in zip(trace.states, dense):
+            bound = 1e-12 * max(1.0, float(np.max(np.abs(expected))))
+            assert float(np.max(np.abs(np.array(row) - expected))) <= bound
+    assert rejected > 0 and grown > 0
 
 
 def test_a_nan_right_hand_side_never_reads_as_steady():
