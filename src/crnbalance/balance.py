@@ -114,7 +114,7 @@ def _component_in_trees(
     return trees
 
 
-@lru_cache(maxsize=256)
+@lru_cache(maxsize=8)
 def tree_constants_symbolic(g: ReactionGraph) -> TreeConstants:
     """Spanning in-tree enumeration route for K_G.
 

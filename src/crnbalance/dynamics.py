@@ -6,7 +6,8 @@ states become floats through one rule (``_float``) and one float model
 (``_FloatModel``, a sparse table read on plain floats), which follow the
 actual ODE dx/dt = N v(x), locate the unique positive steady state of a
 stoichiometric compatibility class, and inspect the Jacobian spectrum
-restricted to the class. numpy serves the dense linear algebra alone.
+restricted to the class. numpy serves the dense linear algebra alone,
+imported by the functions that use it: the rest of the package runs without it.
 """
 
 from __future__ import annotations
@@ -15,8 +16,6 @@ import math
 from dataclasses import dataclass
 from enum import Enum
 from typing import Sequence
-
-import numpy as np
 
 from . import ratmat
 from .balance import RESIDUAL_TOL, _require_weakly_reversible, steady_state_binomials
@@ -304,12 +303,14 @@ def simulate(
 
 def jacobian(net: ReactionNetwork, x: Sequence, kappa: Sequence | None = None) -> np.ndarray:
     """n x n Jacobian of N v at a positive state."""
+    import numpy as np
     xf = _state(net, x, "x", positive=True)
     return np.array(_FloatModel(net, kappa).jacobian(xf))
 
 
 def _stoichiometric_bases(net: ReactionNetwork) -> tuple[np.ndarray, np.ndarray]:
     """Orthonormal bases (columns) of S = im N and of its orthogonal complement."""
+    import numpy as np
     nmat = np.array(net.stoichiometric_matrix, dtype=float)
     u, sing, _ = np.linalg.svd(nmat)
     s = net.rank
@@ -332,6 +333,7 @@ def solve_positive_steady_state(g: ReactionGraph, kappa: Sequence) -> SteadyStat
     this system (residual below RESIDUAL_TOL) is equivalent to the kappa being
     node balanced; the returned x is one positive solution.
     """
+    import numpy as np
     _require_weakly_reversible(g, "solve_positive_steady_state")
     binomials = steady_state_binomials(g, kappa)
     mat = np.array([[float(q - p) for p, q in zip(b.lhs_exps, b.rhs_exps)] for b in binomials])
@@ -365,6 +367,7 @@ def birch_point(
         NotBalancedError: kappa fails the balance conditions.
         ConvergenceError: Newton stalled or left tolerance unmet.
     """
+    import numpy as np
     target = None if x0 is None else np.array(_state(net, x0, "x0"))
     kap = numeric_kappa(net, kappa)
     result = solve_positive_steady_state(g, kap)
@@ -420,6 +423,7 @@ def birch_point(
 def class_deviation(net: ReactionNetwork, x: Sequence, x0: Sequence) -> float:
     """Distance of x - x0 from the stoichiometric subspace (infinity norm
     of the orthogonal-complement coordinates)."""
+    import numpy as np
     diff = np.array(_state(net, x, "x")) - np.array(_state(net, x0, "x0"))
     _, u_perp = _stoichiometric_bases(net)
     return float(np.max(np.abs(u_perp.T @ diff), initial=0.0))
@@ -452,6 +456,7 @@ def stability_report(
     Raises:
         ValueError: x_star is not a steady state (residual >= 1e-8).
     """
+    import numpy as np
     x = _state(net, x_star, "x_star", positive=True)
     model = _FloatModel(net, kappa)
     residual = _norm(model.rhs(x))

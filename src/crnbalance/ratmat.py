@@ -112,9 +112,12 @@ def det(mat: Matrix) -> Fraction:
 
 
 def matvec(a: Matrix, v: Sequence) -> list:
+    """a v over each row's nonzero entries, summed from a zero of v's type so each
+    entry has the full sum's type; a nonfinite v_j reaches only rows with a_ij != 0."""
     if a and len(a[0]) != len(v):
         raise ValueError(f"matrix is {len(a)}x{len(a[0])} but vector has {len(v)} entries")
-    return [sum(x * y for x, y in zip(row, v)) for row in a]
+    zero = sum(t() for t in {type(y) for y in v})
+    return [sum((x * y for x, y in zip(row, v) if x), zero) for row in a]
 
 
 def transpose(a: Matrix) -> list[list]:

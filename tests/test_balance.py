@@ -2,7 +2,9 @@
 
 from __future__ import annotations
 
+import gc
 import random
+import weakref
 from fractions import Fraction
 
 import pytest
@@ -629,3 +631,23 @@ def test_a_complex_balanced_kappa_need_not_be_detailed_balanced():
             assert check_kappa_balanced(complex_graph, kappa).balanced
             detailed = check_kappa_balanced(detailed_graph(net), kappa).balanced
             assert detailed == oracles.wegscheider_holds(net, kappa) == expected, (net, kappa)
+
+
+def test_the_tree_cache_lets_go_of_a_dropped_graph():
+    # the cache serves the calls of one analysis (the expanded conditions, then
+    # incremental_condition per pair); a graph dropped by its caller is freed,
+    # with its network and tree polynomials, once 16 others have been analysed
+    rng = random.Random(1701)
+    g = helpers.random_wr_graph(rng)
+    balance_conditions(g, expand=True)
+    dropped = weakref.ref(g)
+    del g
+    others = []  # distinct, since an equal graph would be a cache hit on the dropped key
+    while len(others) < 16:
+        other = helpers.random_wr_graph(rng)
+        if other != dropped() and other not in others:
+            others.append(other)
+    for other in others:
+        balance_conditions(other, expand=True)
+    gc.collect()
+    assert dropped() is None

@@ -92,6 +92,19 @@ def test_matmul_matvec_transpose():
     assert ratmat.transpose(a) == [[Fraction(1), Fraction(3)], [Fraction(2), Fraction(4)]]
 
 
+def test_matvec_skips_zero_entries_but_keeps_the_type_of_each_entry():
+    # N of A + C -> B + C: the catalyst C has an all-zero row
+    n = [[-1], [1], [0]]
+    for one in (Fraction(1, 3), 0.25, 2):
+        out = ratmat.matvec(n, [one])
+        assert out == [-one, one, 0]
+        assert [type(v) for v in out] == [type(one)] * 3
+    # a nonfinite rate reaches only the rows where its column is nonzero
+    out = ratmat.matvec([[1, 0], [0, 2], [0, 0]], [math.inf, 1.5])
+    assert out == [math.inf, 3.0, 0.0] and type(out[2]) is float
+    assert ratmat.matvec([[1, 1], [0, -1]], [math.nan, 1.0])[1] == -1.0
+
+
 def test_det_rejects_nonsquare():
     with pytest.raises(ValueError):
         ratmat.det([[Fraction(1), Fraction(2)]])

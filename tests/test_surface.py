@@ -16,7 +16,10 @@ import importlib.util
 import inspect
 import json
 import math
+import os
 import random
+import subprocess
+import sys
 import types
 from fractions import Fraction
 from pathlib import Path
@@ -134,11 +137,19 @@ def test_every_module_uses_what_it_imports():
 
 
 def test_only_dynamics_imports_numpy():
-    # exact inputs become floats in one module; the rest stays exact
+    # exact inputs become floats in one module; the rest stays exact, and
+    # dynamics imports numpy inside the functions that compute with it, never
+    # at module level, so that exact work starts without it
     package = Path(crnbalance.__file__).parent
-    importers = set()
+    importers, at_module_level = set(), set()
     for path in sorted(package.glob("*.py")):
-        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        in_functions = {
+            id(inner)
+            for node in ast.walk(tree) if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))
+            for inner in ast.walk(node)
+        }
+        for node in ast.walk(tree):
             if isinstance(node, ast.Import):
                 names = [a.name for a in node.names]
             elif isinstance(node, ast.ImportFrom):
@@ -147,4 +158,44 @@ def test_only_dynamics_imports_numpy():
                 continue
             if any(name.split(".")[0] == "numpy" for name in names):
                 importers.add(path.stem)
+                if id(node) not in in_functions:
+                    at_module_level.add(path.stem)
     assert importers == {"dynamics"}
+    assert not at_module_level
+
+
+def test_exact_commands_and_simulate_run_without_numpy():
+    # in a fresh interpreter: importing the package and every command but
+    # steady-state leave numpy unloaded; steady-state loads it at its first call
+    data = Path(__file__).parent / "data"
+    running, ab, p4 = data / "running.crn", data / "ab.crn", data / "p4.json"
+    kappa = ["--kappa", "1,1,1,1,2,2"]
+    commands = [
+        ["graphs", "enumerate", str(running)],
+        ["balance", "check", str(running), "--partition", str(p4), *kappa],
+        ["lift", str(running), "--partition", str(p4), *kappa, "--state", "1,1"],
+        ["simulate", str(ab), "--kappa", "2,1", "--x0", "3,0", "--t-end", "1"],
+        ["steady-state", str(running), "--partition", str(p4), *kappa, "--class", "1,2"],
+    ]
+    code = (
+        "import io, json, sys\n"
+        "import crnbalance\n"
+        "from crnbalance import cli\n"
+        "print(json.dumps(['import', 0, 'numpy' in sys.modules]))\n"
+        "for argv in json.loads(sys.argv[1]):\n"
+        "    status = cli.main(argv, io.StringIO())\n"
+        "    print(json.dumps([argv[0], status, 'numpy' in sys.modules]))\n"
+    )
+    src = str(Path(crnbalance.__file__).resolve().parent.parent)
+    out = subprocess.run(
+        [sys.executable, "-c", code, json.dumps(commands)],
+        env={**os.environ, "PYTHONPATH": src}, capture_output=True, text=True, check=True,
+    )
+    assert [json.loads(line) for line in out.stdout.splitlines()] == [
+        ["import", 0, False],
+        ["graphs", 0, False],
+        ["balance", 0, False],
+        ["lift", 0, False],
+        ["simulate", 0, False],
+        ["steady-state", 0, True],
+    ]
