@@ -3,8 +3,9 @@
 The one module in floating point. The algebraic modules certify exactly
 that a rate vector is node balanced; here exact rate constants and
 states become floats through one rule (``_float``) and one float model
-(``_FloatModel``, a sparse table read on plain floats), which follow the
-actual ODE dx/dt = N v(x), locate the unique positive steady state of a
+(``_FloatModel``: a sparse table read on plain floats, and N v and the RK4
+step as code generated once per network), which follow the actual ODE
+dx/dt = N v(x), locate the unique positive steady state of a
 stoichiometric compatibility class, and inspect the Jacobian spectrum
 restricted to the class. numpy serves the dense linear algebra alone,
 imported by the functions that use it: the rest of the package runs without it.
@@ -15,6 +16,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from enum import Enum
+from functools import lru_cache
 from typing import Sequence
 
 from . import ratmat
@@ -93,15 +95,100 @@ def _monomial(x: Sequence[float], source: tuple[tuple[int, float], ...]) -> floa
     return m
 
 
+def _chain(name: str, first: str, op: str, terms: Sequence[str]) -> list[str]:
+    """Lines setting name = first op t1 op t2 ..., evaluated left to right, at
+    most 100 terms a line, since the compiler recurses once per term."""
+    return [
+        f"{name} = {name if s else first}" + "".join(f" {op} {t}" for t in terms[s:s + 100])
+        for s in range(0, max(len(terms), 1), 100)
+    ]
+
+
+def _vector(fmt: str, n: int) -> str:
+    """'e0, e1, ..., ' with e_i = fmt.format(i): a target list or a list display."""
+    return "".join(fmt.format(i) + ", " for i in range(n))
+
+
+def _source(net: ReactionNetwork) -> str:
+    """Straight-line Python defining bind(kappa) -> (rhs, rk4_step) for net.
+    Each component takes the table's operations in its order: x_i ** e
+    multiplied from the left, kappa_j times that, then 0.0 + c1 v1 + c2 v2
+    ... in reaction order. Only integer indices, float literals and fixed
+    local names reach it, never a species name or a reaction label."""
+    sources = [
+        tuple((i, float(e)) for i, e in enumerate(net.complexes[r.source].coeffs) if e)
+        for r in net.reactions
+    ]
+    columns = [tuple((j, float(c)) for j, c in enumerate(row) if c) for row in net.stoichiometric_matrix]
+
+    def stage(x: str, out: str) -> list[str]:
+        # out_i = (N v)_i at the state held in the locals x0, x1, ...
+        lines = []
+        for j, source in enumerate(sources):
+            factors = []
+            for i, e in source:
+                if e == 1.0:
+                    factors.append(f"{x}{i} ** 1.0")
+                    continue
+                factors.append(f"p{len(factors)}")
+                lines += [  # zero-cost on 3.11; the table's inf past the float range
+                    "try:",
+                    f"    {factors[-1]} = {x}{i} ** {e!r}",
+                    "except OverflowError:",
+                    f"    {factors[-1]} = _overflow({x}{i}, {e!r})",
+                ]
+            lines += _chain("m", factors[0] if factors else "1.0", "*", factors[1:])
+            lines.append(f"v{j} = k{j} * m")
+        for i, column in enumerate(columns):
+            lines += _chain(f"{out}{i}", "0.0", "+", [f"{c!r} * v{j}" for j, c in column])
+        return lines
+
+    n = net.n
+    rhs = [f"{_vector('x{}', n)}= x", *stage("x", "d"), f"return [{_vector('d{}', n)}]"]
+    step = [  # the RK4 step with its three inner right-hand sides inlined
+        f"{_vector('x{}', n)}= x",
+        f"{_vector('f{}', n)}= fx",
+        "hh = 0.5 * h",
+        *(f"y{i} = x{i} + hh * f{i}" for i in range(n)),
+        *stage("y", "a"),
+        *(f"y{i} = x{i} + hh * a{i}" for i in range(n)),
+        *stage("y", "b"),
+        *(f"y{i} = x{i} + h * b{i}" for i in range(n)),
+        *stage("y", "c"),
+        "h6 = h / 6.0",
+        f"return [{_vector('x{0} + h6 * (f{0} + 2.0 * a{0} + 2.0 * b{0} + c{0})', n)}], 0.0, h",
+    ]
+    return "\n".join([
+        "def bind(kappa):",
+        f"    {_vector('k{}', net.p)}= kappa",
+        "    def rhs(x):",
+        *("        " + line for line in rhs),
+        "    def rk4_step(rhs, x, fx, h, tol):",
+        *("        " + line for line in step),
+        "    return rhs, rk4_step",
+    ])
+
+
+@lru_cache(maxsize=8)
+def _compiled(net: ReactionNetwork):
+    """bind for net, compiled once per network."""
+    namespace = {"_overflow": _overflow}
+    exec(compile(_source(net), "<generated float model>", "exec"), namespace)
+    return namespace["bind"]
+
+
 class _FloatModel:
     """The float form of a network under one rate vector, as one sparse
     table with a row per reaction j: kappa_j, the source's (species,
     exponent) pairs with exponent != 0, and column j of N as its
-    (species, entry) pairs with entry != 0. Rates, N v and the Jacobian
-    are read off it in plain floats, each component with the operations
-    of kappa * prod(x ** Y) and N @ v, in the same order (dropped factors
+    (species, entry) pairs with entry != 0. Rates and the Jacobian are
+    read off it in plain floats, each component with the operations of
+    kappa * prod(x ** Y) and N @ v, in the same order (dropped factors
     x ** 0 = 1 and terms 0 * v are exact no-ops); an x ** e past the
-    float range is inf, as in numpy."""
+    float range is inf, as in numpy. N v (rhs) and the classical RK4 step
+    (rk4_step: (rhs, x, fx = rhs(x), h, tol) -> (x_new, no error, h
+    kept)) are the network's generated code bound to the same kappa,
+    bit for bit the table's arithmetic."""
 
     def __init__(self, net: ReactionNetwork, kappa: Sequence | None):
         nmat = net.stoichiometric_matrix
@@ -114,24 +201,10 @@ class _FloatModel:
             )
             for j, (k, r) in enumerate(zip(numeric_kappa(net, kappa), net.reactions))
         )
+        self.rhs, self.rk4_step = _compiled(net)(tuple(k for k, _, _ in self.table))
 
     def rates(self, x: Sequence[float]) -> list[float]:
         return [k * _monomial(x, source) for k, source, _ in self.table]
-
-    def rhs(self, x: Sequence[float]) -> list[float]:
-        # simulate's hot path: _monomial inlined, since a call per reaction cost ~12 %
-        dx = [0.0] * self.n
-        for k, source, column in self.table:
-            m = 1.0
-            for i, e in source:
-                try:
-                    m *= x[i] ** e
-                except OverflowError:
-                    m *= _overflow(x[i], e)
-            v = k * m
-            for i, c in column:
-                dx[i] += c * v
-        return dx
 
     def jacobian(self, x: Sequence[float]) -> list[list[float]]:
         # d v_j / d x_k = v_j * y_jk / x_k (monomial differentiation)
@@ -197,21 +270,6 @@ def _advance(x: list[float], h: float, coeffs: tuple[float, ...], k: list[list[f
     return out
 
 
-def _rk4_step(rhs, x: list[float], fx: list[float], h: float, tol: float):
-    """A classical Runge-Kutta step: (x_new, no error, h kept), fx = rhs(x)."""
-    # per component, the operations of the array form x + h * (b1 * k1 + ...), in order
-    hh = 0.5 * h
-    k2 = rhs([a + hh * b for a, b in zip(x, fx)])
-    k3 = rhs([a + hh * b for a, b in zip(x, k2)])
-    k4 = rhs([a + h * b for a, b in zip(x, k3)])
-    h6 = h / 6.0
-    x_new = [
-        a + h6 * (b1 + 2.0 * b2 + 2.0 * b3 + b4)
-        for a, b1, b2, b3, b4 in zip(x, fx, k2, k3, k4)
-    ]
-    return x_new, 0.0, h
-
-
 def _cash_karp_step(rhs, x: list[float], fx: list[float], h: float, tol: float):
     """A Cash-Karp 4(5) step: (x_new, error norm over tol, next h), fx = rhs(x)."""
     k = [fx]
@@ -257,7 +315,7 @@ def simulate(
             raise ValueError(f"{name} must be {rule}, got {value}")
     x = _state(net, x0, "x0")
     model = _FloatModel(net, kappa)
-    step = _cash_karp_step if adaptive else _rk4_step
+    step = _cash_karp_step if adaptive else model.rk4_step
     h = float(dt) if dt is not None else _initial_step(model, x, t_end)
     h_min = max(t_end, 1.0) * 1e-14
     t = 0.0
@@ -308,13 +366,14 @@ def jacobian(net: ReactionNetwork, x: Sequence, kappa: Sequence | None = None) -
     return np.array(_FloatModel(net, kappa).jacobian(xf))
 
 
+@lru_cache(maxsize=8)
 def _stoichiometric_bases(net: ReactionNetwork) -> tuple[np.ndarray, np.ndarray]:
-    """Orthonormal bases (columns) of S = im N and of its orthogonal complement."""
+    """Orthonormal bases (columns) of S = im N and of its orthogonal
+    complement, computed once per network and read-only."""
     import numpy as np
-    nmat = np.array(net.stoichiometric_matrix, dtype=float)
-    u, sing, _ = np.linalg.svd(nmat)
-    s = net.rank
-    return u[:, :s], u[:, s:]
+    u, _, _ = np.linalg.svd(np.array(net.stoichiometric_matrix, dtype=float))
+    u.flags.writeable = False  # and so both views
+    return u[:, :net.rank], u[:, net.rank:]
 
 
 @dataclass(frozen=True)

@@ -2,11 +2,13 @@
 
 from __future__ import annotations
 
+import gc
 import math
 import os
 import random
 import subprocess
 import sys
+import weakref
 from fractions import Fraction
 from pathlib import Path
 
@@ -19,6 +21,7 @@ import crnbalance
 from crnbalance import (
     ConvergenceError,
     NotBalancedError,
+    ReactionNetwork,
     SimulationError,
     StabilityVerdict,
     birch_point,
@@ -370,6 +373,121 @@ def test_sparse_adaptive_steps_agree_with_a_dense_cash_karp(running, fig2):
     assert rejected > 0 and grown > 0
 
 
+def _table_rhs(net, kappa, x):
+    """N v(x) in the sparse table's float operations and order: x_i ** e
+    multiplied from the left (inf past the float range, signed as numpy's
+    power), kappa_j times that, then 0.0 + c1 v1 + c2 v2 ... by reaction."""
+    dx = [0.0] * net.n
+    for j, (k, r) in enumerate(zip(kappa, net.reactions)):
+        m = 1.0
+        for xi, e in zip(x, net.complexes[r.source].coeffs):
+            if e:
+                try:
+                    m *= xi ** float(e)
+                except OverflowError:
+                    m *= math.copysign(math.inf, xi) if e % 2 else math.inf
+        v = float(k) * m
+        for i, row in enumerate(net.stoichiometric_matrix):
+            if row[j]:
+                dx[i] += float(row[j]) * v
+    return dx
+
+
+def _table_rk4_step(net, kappa, x, h):
+    fx = _table_rhs(net, kappa, x)
+    hh = 0.5 * h
+    k2 = _table_rhs(net, kappa, [a + hh * b for a, b in zip(x, fx)])
+    k3 = _table_rhs(net, kappa, [a + hh * b for a, b in zip(x, k2)])
+    k4 = _table_rhs(net, kappa, [a + h * b for a, b in zip(x, k3)])
+    h6 = h / 6.0
+    return [a + h6 * (b1 + 2.0 * b2 + 2.0 * b3 + b4) for a, b1, b2, b3, b4 in zip(x, fx, k2, k3, k4)]
+
+
+def test_generated_rhs_and_rk4_step_equal_the_table_bit_for_bit(running, fig2):
+    # the cases of the dense RK4 test above, from the same seed, plus a cubic
+    # network; states reach 1e120, so that x ** 3 overflows, of either sign
+    rng = random.Random(151)
+    cases = [
+        (running, [1.0, 2.0, 0.5, 1.5, 2.0, 1.0], (0.8, 1.3)),
+        (fig2, [1.0, 2.0, 0.5, 1.5, 2.0, 1.0, 0.7, 1.2], (0.4, 1.1, 0.9, 0.2)),
+        (parse_network("r1: A + C -> B + C @ 1.5\nr2: B -> A @ 0.5\n"), [1.5, 0.5], (1.0, 0.5, 0.3)),
+        (parse_network("r1: 0 -> A @ 1\nr2: 3 A -> 2 A @ 2\n"), [1.0, 2.0], (0.7,)),
+    ]
+    while len(cases) < 44:
+        net = parse_network(_random_network_text(rng))
+        kappa = [rng.uniform(0.5, 2.0) for _ in range(net.p)]
+        cases.append((net, kappa, tuple(rng.uniform(0.2, 1.5) for _ in range(net.n))))
+    cubic = parse_network("r1: 3 A + B -> 2 B @ 1.5\nr2: 2 B -> A + 2 C @ 0.5\nr3: A + 2 C -> 3 A + B @ 2\n")
+    cases.append((cubic, [1.5, 0.5, 2.0], (0.9, 1.2, 0.4)))
+    rng = random.Random(1801)
+    overflowed = 0
+    for net, kappa, _ in cases:
+        model = crnbalance.dynamics._FloatModel(net, kappa)
+        for _ in range(12):
+            x = [rng.choice((1.0, -1.0, 1e120, -1e120, 1e60)) * rng.uniform(0.2, 1.5) for _ in range(net.n)]
+            h = rng.uniform(0.001, 0.5)
+            expected = _table_rhs(net, kappa, x)
+            overflowed += not all(map(math.isfinite, expected))
+            # repr tells inf from nan and -0.0 from 0.0
+            assert list(map(repr, model.rhs(x))) == list(map(repr, expected))
+            x_new, err, h_next = model.rk4_step(model.rhs, x, model.rhs(x), h, 1e-8)
+            assert list(map(repr, x_new)) == list(map(repr, _table_rk4_step(net, kappa, x, h)))
+            assert (err, h_next) == (0.0, h)
+    assert overflowed > 20
+
+
+def test_simulate_compiles_each_network_once_across_kappas():
+    net = parse_network("r1: 2 A + B -> C @ 1\nr2: C -> 2 A + B @ 1\nr3: C -> D @ 1\n")
+    before = crnbalance.dynamics._compiled.cache_info()
+    first = simulate(net, (1.0, 2.0, 0.5, 0.0), [1.0, 2.0, 0.5], t_end=0.1, dt=0.01)
+    second = simulate(net, (1.0, 2.0, 0.5, 0.0), [3.0, 0.5, 2.0], t_end=0.1, dt=0.01)
+    after = crnbalance.dynamics._compiled.cache_info()
+    assert (after.misses - before.misses, after.hits - before.hits) == (1, 1)
+    assert first.final != second.final
+
+
+def test_the_compiled_model_cache_lets_go_of_a_dropped_network():
+    # like the tree cache: a network its caller dropped is freed, with its
+    # compiled model and its stoichiometric bases, once 16 others have run
+    rng = random.Random(1802)
+    net = parse_network(_random_network_text(rng))
+    simulate(net, (1.0,) * net.n, t_end=0.1, dt=0.01)
+    class_deviation(net, (1.0,) * net.n, (1.0,) * net.n)
+    dropped = weakref.ref(net)
+    del net
+    others = []  # distinct, since an equal network would be a cache hit on the dropped key
+    while len(others) < 16:
+        other = parse_network(_random_network_text(rng))
+        if other != dropped() and other not in others:
+            others.append(other)
+    for other in others:
+        simulate(other, (1.0,) * other.n, t_end=0.1, dt=0.01)
+        class_deviation(other, (1.0,) * other.n, (1.0,) * other.n)
+    gc.collect()
+    assert dropped() is None
+
+
+def test_species_names_never_reach_the_generated_source():
+    hostile = ("__import__('os')", "x0); y = (1", "\nimport os", "lambda: 0")
+    reactions = [((1, 1, 0, 0), (0, 0, 2, 0), 2), ((0, 0, 2, 0), (1, 1, 0, 0), 1), ((0, 0, 2, 0), (0, 0, 0, 1), 3)]
+    net = ReactionNetwork.assemble(hostile, reactions)
+    plain = ReactionNetwork.assemble(("A", "B", "C", "D"), reactions)
+    source = crnbalance.dynamics._source(net)
+    assert source == crnbalance.dynamics._source(plain)
+    assert not any(name in source for name in hostile)
+    x0 = (1.0, 0.5, 0.25, 0.0)
+    assert simulate(net, x0, t_end=1.0, dt=0.01) == simulate(plain, x0, t_end=1.0, dt=0.01)
+
+
+def test_a_species_in_3000_reactions_compiles_and_keeps_the_table_sum():
+    # one sum of 3,001 terms in a single expression exceeds the compiler's
+    # recursion limit; the generated code splits it, left to right
+    net = ReactionNetwork.assemble(("A", "B"), [((1, 0), (0, k), 1) for k in range(1, 3001)])
+    model = crnbalance.dynamics._FloatModel(net, None)
+    x = [1.5, 0.5]
+    assert model.rhs(x) == _table_rhs(net, [1] * net.p, x)
+
+
 def test_a_nan_right_hand_side_never_reads_as_steady():
     # at A = 1e154 the two rates 1e308 make dA/dt = 2e308 - 2e308 = inf - inf;
     # Python's max drops that nan behind the 0 of species B and read the
@@ -616,6 +734,17 @@ def test_jacobian_matches_finite_differences(running):
 def test_jacobian_requires_positive_state(ab):
     with pytest.raises(ValueError, match="positive"):
         jacobian(ab, (0.0, 1.0), [2.0, 1.0])
+
+
+def test_the_stoichiometric_bases_are_computed_once_and_read_only(fig2):
+    basis, perp = crnbalance.dynamics._stoichiometric_bases(fig2)
+    assert crnbalance.dynamics._stoichiometric_bases(fig2)[1] is perp
+    for array in (basis, perp):
+        with pytest.raises(ValueError, match="read-only"):
+            array[0, 0] = 1.0
+    # the bases an uncached SVD gives, bit for bit
+    u = np.linalg.svd(np.array(fig2.stoichiometric_matrix, dtype=float))[0]
+    assert np.array_equal(basis, u[:, :fig2.rank]) and np.array_equal(perp, u[:, fig2.rank:])
 
 
 def test_class_deviation_zero_on_the_class(ab, running):
