@@ -3,8 +3,8 @@
 The one module in floating point. The algebraic modules certify exactly
 that a rate vector is node balanced; here exact rate constants and
 states become floats through one rule (``_float``) and one float model
-(``_FloatModel``: a sparse table read on plain floats, and N v and the RK4
-step as code generated once per network), which follow the actual ODE
+(``_FloatModel``: the rates, N v, the Jacobian and the RK4 and Cash-Karp
+steps as code generated once per network), which follow the actual ODE
 dx/dt = N v(x), locate the unique positive steady state of a
 stoichiometric compatibility class, and inspect the Jacobian spectrum
 restricted to the class. numpy serves the dense linear algebra alone,
@@ -84,17 +84,6 @@ def _overflow(x: float, e: float) -> float:
     return math.copysign(math.inf, x) if e % 2 else math.inf
 
 
-def _monomial(x: Sequence[float], source: tuple[tuple[int, float], ...]) -> float:
-    """prod x_i ** e over the (i, e) pairs of source, in their order."""
-    m = 1.0
-    for i, e in source:
-        try:
-            m *= x[i] ** e
-        except OverflowError:
-            m *= _overflow(x[i], e)
-    return m
-
-
 def _chain(name: str, first: str, op: str, terms: Sequence[str]) -> list[str]:
     """Lines setting name = first op t1 op t2 ..., evaluated left to right, at
     most 100 terms a line, since the compiler recurses once per term."""
@@ -109,20 +98,44 @@ def _vector(fmt: str, n: int) -> str:
     return "".join(fmt.format(i) + ", " for i in range(n))
 
 
+# the Cash-Karp 4(5) tableau: stage s adds h * (0.0 + a_s1 k1 + ... ) to x
+_CK_A = (
+    (1 / 5,),
+    (3 / 40, 9 / 40),
+    (3 / 10, -9 / 10, 6 / 5),
+    (-11 / 54, 5 / 2, -70 / 27, 35 / 27),
+    (1631 / 55296, 175 / 512, 575 / 13824, 44275 / 110592, 253 / 4096),
+)
+_CK_B5 = (37 / 378, 0.0, 250 / 621, 125 / 594, 0.0, 512 / 1771)
+_CK_B4 = (2825 / 27648, 0.0, 18575 / 48384, 13525 / 55296, 277 / 14336, 1 / 4)
+
+
 def _source(net: ReactionNetwork) -> str:
-    """Straight-line Python defining bind(kappa) -> (rhs, rk4_step) for net.
-    Each component takes the table's operations in its order: x_i ** e
-    multiplied from the left, kappa_j times that, then 0.0 + c1 v1 + c2 v2
-    ... in reaction order. Only integer indices, float literals and fixed
-    local names reach it, never a species name or a reaction label."""
+    """Straight-line Python defining bind(kappa) -> (rates, rhs, jacobian,
+    rk4_step, cash_karp_step) for net: the one float model of the network.
+
+    Each component takes kappa * prod(x ** Y) and N @ v in their array
+    order: x_i ** e multiplied from the left (dropped factors x ** 0 = 1
+    and terms 0 * v are exact no-ops; one past the float range is inf, as
+    in numpy), kappa_j times that, then 0.0 + c1 v1 + c2 v2 ... in reaction
+    order. J_ik = 0.0 + c_ij (v_j e_jk / x_k) + ... by reaction, from the
+    rates. A step maps (rhs, x, fx = rhs(x), h, tol) to (x_new, error norm
+    over tol, next h): classical RK4 (no error, h kept) with its three
+    inner right-hand sides written out, or Cash-Karp 4(5) with every
+    tableau term, zeros included (0.0 * inf is nan), its stages calling
+    rhs. Only integer indices, float literals and fixed local names reach
+    the source, never a species name or a reaction label."""
     sources = [
         tuple((i, float(e)) for i, e in enumerate(net.complexes[r.source].coeffs) if e)
         for r in net.reactions
     ]
-    columns = [tuple((j, float(c)) for j, c in enumerate(row) if c) for row in net.stoichiometric_matrix]
+    rows = [
+        tuple((j, float(c)) for j, c in enumerate(row) if c) for row in net.stoichiometric_matrix
+    ]
+    n = net.n
 
-    def stage(x: str, out: str) -> list[str]:
-        # out_i = (N v)_i at the state held in the locals x0, x1, ...
+    def rates(x: str) -> list[str]:
+        # v_j = kappa_j x^(Y_j) at the state held in the locals x0, x1, ...
         lines = []
         for j, source in enumerate(sources):
             factors = []
@@ -131,7 +144,7 @@ def _source(net: ReactionNetwork) -> str:
                     factors.append(f"{x}{i} ** 1.0")
                     continue
                 factors.append(f"p{len(factors)}")
-                lines += [  # zero-cost on 3.11; the table's inf past the float range
+                lines += [  # zero-cost on 3.11
                     "try:",
                     f"    {factors[-1]} = {x}{i} ** {e!r}",
                     "except OverflowError:",
@@ -139,13 +152,32 @@ def _source(net: ReactionNetwork) -> str:
                 ]
             lines += _chain("m", factors[0] if factors else "1.0", "*", factors[1:])
             lines.append(f"v{j} = k{j} * m")
-        for i, column in enumerate(columns):
-            lines += _chain(f"{out}{i}", "0.0", "+", [f"{c!r} * v{j}" for j, c in column])
         return lines
 
-    n = net.n
-    rhs = [f"{_vector('x{}', n)}= x", *stage("x", "d"), f"return [{_vector('d{}', n)}]"]
-    step = [  # the RK4 step with its three inner right-hand sides inlined
+    def stage(x: str, out: str) -> list[str]:
+        # out_i = (N v)_i at the state held in the locals x0, x1, ...
+        return rates(x) + [
+            line for i, row in enumerate(rows)
+            for line in _chain(f"{out}{i}", "0.0", "+", [f"{c!r} * v{j}" for j, c in row])
+        ]
+
+    def advance(out: str, coeffs: Sequence[float], ks: str) -> list[str]:
+        # out_i = x_i + h * (0.0 + c1 k1_i + c2 k2_i + ...), ks naming k1, k2, ...
+        return [
+            f"{out}{i} = x{i} + h * (0.0"
+            + "".join(f" + {c!r} * {k}{i}" for c, k in zip(coeffs, ks)) + ")"
+            for i in range(n)
+        ]
+
+    jacobian = [f"{_vector('x{}', n)}= x", f"{_vector('v{}', net.p)}= rates(x)"]
+    for i, row in enumerate(rows):
+        for k in range(n):
+            terms = [
+                f"{c!r} * (v{j} * {e!r} / x{k})" for j, c in row for s, e in sources[j] if s == k
+            ]
+            jacobian += _chain(f"j{i}_{k}", "0.0", "+", terms)
+    jacobian.append("return [" + "".join(f"[{_vector(f'j{i}_{{}}', n)}], " for i in range(n)) + "]")
+    rk4 = [
         f"{_vector('x{}', n)}= x",
         f"{_vector('f{}', n)}= fx",
         "hh = 0.5 * h",
@@ -158,63 +190,51 @@ def _source(net: ReactionNetwork) -> str:
         "h6 = h / 6.0",
         f"return [{_vector('x{0} + h6 * (f{0} + 2.0 * a{0} + 2.0 * b{0} + c{0})', n)}], 0.0, h",
     ]
-    return "\n".join([
-        "def bind(kappa):",
-        f"    {_vector('k{}', net.p)}= kappa",
-        "    def rhs(x):",
-        *("        " + line for line in rhs),
-        "    def rk4_step(rhs, x, fx, h, tol):",
-        *("        " + line for line in step),
-        "    return rhs, rk4_step",
-    ])
+    cash_karp = [f"{_vector('x{}', n)}= x", f"{_vector('f{}', n)}= fx"]
+    for s, coeffs in enumerate(_CK_A):  # k2, ..., k6 into a, ..., e
+        cash_karp += advance("y", coeffs, "fabcd")
+        cash_karp.append(f"{_vector('abcde'[s] + '{}', n)}= rhs([{_vector('y{}', n)}])")
+    cash_karp += [
+        *advance("y", _CK_B5, "fabcde"),
+        *advance("z", _CK_B4, "fabcde"),
+        "err = _norm(["
+        + _vector("abs(y{0} - z{0}) / (tol * max(1.0, max(abs(x{0}), abs(y{0}))))", n) + "])",
+        f"return [{_vector('y{}', n)}], err, h * min(5.0, max(0.2, 0.9 * (err + 1e-16) ** -0.2))",
+    ]
+    functions = {
+        "rates(x)": [f"{_vector('x{}', n)}= x", *rates("x"), f"return [{_vector('v{}', net.p)}]"],
+        "rhs(x)": [f"{_vector('x{}', n)}= x", *stage("x", "d"), f"return [{_vector('d{}', n)}]"],
+        "jacobian(x)": jacobian,
+        "rk4_step(rhs, x, fx, h, tol)": rk4,
+        "cash_karp_step(rhs, x, fx, h, tol)": cash_karp,
+    }
+    lines = ["def bind(kappa):", f"    {_vector('k{}', net.p)}= kappa"]
+    for head, body in functions.items():
+        lines += [f"    def {head}:", *("        " + line for line in body)]
+    lines.append("    return rates, rhs, jacobian, rk4_step, cash_karp_step")
+    return "\n".join(lines)
 
 
 @lru_cache(maxsize=8)
 def _compiled(net: ReactionNetwork):
     """bind for net, compiled once per network."""
-    namespace = {"_overflow": _overflow}
+    namespace = {"_overflow": _overflow, "_norm": _norm}
     exec(compile(_source(net), "<generated float model>", "exec"), namespace)
     return namespace["bind"]
 
 
 class _FloatModel:
-    """The float form of a network under one rate vector, as one sparse
-    table with a row per reaction j: kappa_j, the source's (species,
-    exponent) pairs with exponent != 0, and column j of N as its
-    (species, entry) pairs with entry != 0. Rates and the Jacobian are
-    read off it in plain floats, each component with the operations of
-    kappa * prod(x ** Y) and N @ v, in the same order (dropped factors
-    x ** 0 = 1 and terms 0 * v are exact no-ops); an x ** e past the
-    float range is inf, as in numpy. N v (rhs) and the classical RK4 step
-    (rk4_step: (rhs, x, fx = rhs(x), h, tol) -> (x_new, no error, h
-    kept)) are the network's generated code bound to the same kappa,
-    bit for bit the table's arithmetic."""
+    """The float form of a network under one rate vector: the network's
+    generated rates, rhs (N v), jacobian, rk4_step and cash_karp_step (see
+    _source), bound to kappa as floats."""
 
     def __init__(self, net: ReactionNetwork, kappa: Sequence | None):
-        nmat = net.stoichiometric_matrix
-        self.n = net.n
-        self.table = tuple(
-            (
-                _float(f"kappa[{j}] (reaction r{j + 1})", k),
-                tuple((i, float(e)) for i, e in enumerate(net.complexes[r.source].coeffs) if e),
-                tuple((i, float(row[j])) for i, row in enumerate(nmat) if row[j]),
+        self.rates, self.rhs, self.jacobian, self.rk4_step, self.cash_karp_step = _compiled(net)(
+            tuple(
+                _float(f"kappa[{j}] (reaction r{j + 1})", k)
+                for j, k in enumerate(numeric_kappa(net, kappa))
             )
-            for j, (k, r) in enumerate(zip(numeric_kappa(net, kappa), net.reactions))
         )
-        self.rhs, self.rk4_step = _compiled(net)(tuple(k for k, _, _ in self.table))
-
-    def rates(self, x: Sequence[float]) -> list[float]:
-        return [k * _monomial(x, source) for k, source, _ in self.table]
-
-    def jacobian(self, x: Sequence[float]) -> list[list[float]]:
-        # d v_j / d x_k = v_j * y_jk / x_k (monomial differentiation)
-        jac = [[0.0] * self.n for _ in range(self.n)]
-        for v, (_, source, column) in zip(self.rates(x), self.table):
-            for k, e in source:
-                d = v * e / x[k]
-                for i, c in column:
-                    jac[i][k] += c * d
-        return jac
 
 
 def conservation_laws(net: ReactionNetwork) -> tuple[tuple[int, ...], ...]:
@@ -244,44 +264,6 @@ def _initial_step(model: _FloatModel, x0: list[float], t_end: float) -> float:
     scale = _norm([row[i] for i, row in enumerate(jac)])
     h = 1e-3 / scale if scale > 0 else t_end / 1000.0
     return min(max(h, t_end / 500_000.0), t_end / 100.0)
-
-
-_CK_A = (
-    (),
-    (1 / 5,),
-    (3 / 40, 9 / 40),
-    (3 / 10, -9 / 10, 6 / 5),
-    (-11 / 54, 5 / 2, -70 / 27, 35 / 27),
-    (1631 / 55296, 175 / 512, 575 / 13824, 44275 / 110592, 253 / 4096),
-)
-_CK_B5 = (37 / 378, 0.0, 250 / 621, 125 / 594, 0.0, 512 / 1771)
-_CK_B4 = (2825 / 27648, 0.0, 18575 / 48384, 13525 / 55296, 277 / 14336, 1 / 4)
-
-
-def _advance(x: list[float], h: float, coeffs: tuple[float, ...], k: list[list[float]]) -> list[float]:
-    """x + h * (c1 k1 + c2 k2 + ...), summed in that order from 0.0; zip
-    stops at the shorter of coeffs and k."""
-    out = []
-    for i, xi in enumerate(x):
-        s = 0.0
-        for c, ki in zip(coeffs, k):
-            s += c * ki[i]
-        out.append(xi + h * s)
-    return out
-
-
-def _cash_karp_step(rhs, x: list[float], fx: list[float], h: float, tol: float):
-    """A Cash-Karp 4(5) step: (x_new, error norm over tol, next h), fx = rhs(x)."""
-    k = [fx]
-    for stage in range(1, 6):
-        k.append(rhs(_advance(x, h, _CK_A[stage], k)))
-    x_new = _advance(x, h, _CK_B5, k)
-    x4 = _advance(x, h, _CK_B4, k)
-    err = _norm([
-        abs(b5 - b4) / (tol * max(1.0, max(abs(a), abs(b5))))
-        for a, b5, b4 in zip(x, x_new, x4)
-    ])
-    return x_new, err, h * min(5.0, max(0.2, 0.9 * (err + 1e-16) ** -0.2))
 
 
 def simulate(
@@ -315,7 +297,7 @@ def simulate(
             raise ValueError(f"{name} must be {rule}, got {value}")
     x = _state(net, x0, "x0")
     model = _FloatModel(net, kappa)
-    step = _cash_karp_step if adaptive else model.rk4_step
+    step = model.cash_karp_step if adaptive else model.rk4_step
     h = float(dt) if dt is not None else _initial_step(model, x, t_end)
     h_min = max(t_end, 1.0) * 1e-14
     t = 0.0
@@ -422,11 +404,14 @@ def birch_point(
     relative for small classes, and a few ulps of M for large ones.
 
     Raises:
-        ValueError: x0 or kappa does not fit the network or the float range.
+        ValueError: g is a graph of another network, or x0 or kappa does
+            not fit the network or the float range.
         NotBalancedError: kappa fails the balance conditions.
         ConvergenceError: Newton stalled or left tolerance unmet.
     """
     import numpy as np
+    if g.network != net:
+        raise ValueError("graph belongs to a different network")
     target = None if x0 is None else np.array(_state(net, x0, "x0"))
     kap = numeric_kappa(net, kappa)
     result = solve_positive_steady_state(g, kap)

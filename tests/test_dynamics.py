@@ -373,12 +373,12 @@ def test_sparse_adaptive_steps_agree_with_a_dense_cash_karp(running, fig2):
     assert rejected > 0 and grown > 0
 
 
-def _table_rhs(net, kappa, x):
-    """N v(x) in the sparse table's float operations and order: x_i ** e
+def _table_rates(net, kappa, x):
+    """v(x) in the sparse table's float operations and order: x_i ** e
     multiplied from the left (inf past the float range, signed as numpy's
-    power), kappa_j times that, then 0.0 + c1 v1 + c2 v2 ... by reaction."""
-    dx = [0.0] * net.n
-    for j, (k, r) in enumerate(zip(kappa, net.reactions)):
+    power), then kappa_j times that."""
+    v = []
+    for k, r in zip(kappa, net.reactions):
         m = 1.0
         for xi, e in zip(x, net.complexes[r.source].coeffs):
             if e:
@@ -386,11 +386,54 @@ def _table_rhs(net, kappa, x):
                     m *= xi ** float(e)
                 except OverflowError:
                     m *= math.copysign(math.inf, xi) if e % 2 else math.inf
-        v = float(k) * m
+        v.append(float(k) * m)
+    return v
+
+
+def _table_rhs(net, kappa, x):
+    """N v(x) as the table summed it: 0.0 + c1 v1 + c2 v2 ... by reaction."""
+    dx = [0.0] * net.n
+    for j, v in enumerate(_table_rates(net, kappa, x)):
         for i, row in enumerate(net.stoichiometric_matrix):
             if row[j]:
                 dx[i] += float(row[j]) * v
     return dx
+
+
+def _table_jacobian(net, kappa, x):
+    """d(N v)_i / d x_k as the table summed it: 0.0 + c_ij (v_j e_jk / x_k) ... by reaction."""
+    jac = [[0.0] * net.n for _ in range(net.n)]
+    for j, (v, r) in enumerate(zip(_table_rates(net, kappa, x), net.reactions)):
+        for k, e in enumerate(net.complexes[r.source].coeffs):
+            if e:
+                d = v * float(e) / x[k]
+                for i, row in enumerate(net.stoichiometric_matrix):
+                    if row[j]:
+                        jac[i][k] += float(row[j]) * d
+    return jac
+
+
+def _table_advance(x, h, coeffs, k):
+    # x + h * (c1 k1 + c2 k2 + ...), summed from 0.0 with every term, zeros included
+    out = []
+    for i, xi in enumerate(x):
+        s = 0.0
+        for c, ki in zip(coeffs, k):
+            s += float(c) * ki[i]
+        out.append(xi + h * s)
+    return out
+
+
+def _table_cash_karp_step(net, kappa, x, h, tol):
+    k = [_table_rhs(net, kappa, x)]
+    for stage in range(1, 6):
+        k.append(_table_rhs(net, kappa, _table_advance(x, h, _CK_TABLEAU[stage][:stage], k)))
+    x_new = _table_advance(x, h, _CK_B5, k)
+    x4 = _table_advance(x, h, _CK_B4, k)
+    err = crnbalance.dynamics._norm([
+        abs(b5 - b4) / (tol * max(1.0, max(abs(a), abs(b5)))) for a, b5, b4 in zip(x, x_new, x4)
+    ])
+    return x_new, err, h * min(5.0, max(0.2, 0.9 * (err + 1e-16) ** -0.2))
 
 
 def _table_rk4_step(net, kappa, x, h):
@@ -405,7 +448,8 @@ def _table_rk4_step(net, kappa, x, h):
 
 def test_generated_rhs_and_rk4_step_equal_the_table_bit_for_bit(running, fig2):
     # the cases of the dense RK4 test above, from the same seed, plus a cubic
-    # network; states reach 1e120, so that x ** 3 overflows, of either sign
+    # network; states reach 1e120, so that x ** 3 overflows, of either sign.
+    # The rates, the Jacobian and the Cash-Karp step are held to the table too
     rng = random.Random(151)
     cases = [
         (running, [1.0, 2.0, 0.5, 1.5, 2.0, 1.0], (0.8, 1.3)),
@@ -423,7 +467,7 @@ def test_generated_rhs_and_rk4_step_equal_the_table_bit_for_bit(running, fig2):
     overflowed = 0
     for net, kappa, _ in cases:
         model = crnbalance.dynamics._FloatModel(net, kappa)
-        for _ in range(12):
+        for trial in range(12):
             x = [rng.choice((1.0, -1.0, 1e120, -1e120, 1e60)) * rng.uniform(0.2, 1.5) for _ in range(net.n)]
             h = rng.uniform(0.001, 0.5)
             expected = _table_rhs(net, kappa, x)
@@ -433,6 +477,11 @@ def test_generated_rhs_and_rk4_step_equal_the_table_bit_for_bit(running, fig2):
             x_new, err, h_next = model.rk4_step(model.rhs, x, model.rhs(x), h, 1e-8)
             assert list(map(repr, x_new)) == list(map(repr, _table_rk4_step(net, kappa, x, h)))
             assert (err, h_next) == (0.0, h)
+            assert list(map(repr, model.rates(x))) == list(map(repr, _table_rates(net, kappa, x)))
+            assert repr(model.jacobian(x)) == repr(_table_jacobian(net, kappa, x))
+            tol = 1e-3 if trial % 2 else 1e-8
+            x_new, err, h_next = model.cash_karp_step(model.rhs, x, model.rhs(x), h, tol)
+            assert repr((x_new, err, h_next)) == repr(_table_cash_karp_step(net, kappa, x, h, tol))
     assert overflowed > 20
 
 
@@ -642,6 +691,24 @@ def test_birch_point_g4(running, table1):
 def test_birch_point_requires_balanced_rates(running, table1):
     with pytest.raises(NotBalancedError, match="not node balanced"):
         birch_point(running, table1[2], KPRIME, x0=(2.0, 0.0))
+
+
+def test_birch_point_refuses_a_graph_of_another_network(running):
+    # the running example with r5/r6 listed first: its graph was read with the
+    # other reaction order, and gave "steady-state residual 10.1 too large"
+    # for one kappa and NotBalancedError for the other, as lift_network refuses
+    reordered = parse_network(
+        "species: X1 X2\n"
+        "r1: 3 X1 <=> 3 X2 @ k5, k6\n"
+        "r3: 3 X1 -> X1 + 2 X2 @ k1\n"
+        "r4: X1 + 2 X2 -> 3 X2 @ k2\n"
+        "r5: 3 X2 -> 2 X1 + X2 @ k3\n"
+        "r6: 2 X1 + X2 -> 3 X1 @ k4\n"
+    )
+    g = canonical_complex_graph(running)
+    for kappa in (KPRIME, [2, 2, 1, 1, 1, 1]):
+        with pytest.raises(ValueError, match="graph belongs to a different network"):
+            birch_point(reordered, g, kappa, (1.0, 2.0))
 
 
 def test_birch_point_against_cube_root_oracle(running, table1):

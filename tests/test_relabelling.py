@@ -1,7 +1,8 @@
-"""Relabelling invariance of complex-graph verdicts.
+"""Relabelling invariance of graph verdicts.
 
 Reaction graphs are defined modulo isomorphism, so no verdict may depend
-on the order in which a network lists its species or its reactions.
+on the order in which a network lists its species or its reactions, nor
+on which reaction of a reversible pair comes first.
 """
 
 from __future__ import annotations
@@ -12,21 +13,31 @@ import pytest
 
 import helpers
 from crnbalance import (
+    AdmissiblePartition,
     ReactionNetwork,
+    balance_conditions,
     birch_point,
     canonical_complex_graph,
     check_kappa_balanced,
     count_admissible_partitions,
+    graph_from_partition,
+    incremental_condition,
     simulate,
     stability_report,
 )
 
 
-def _relabelled(net: ReactionNetwork, rng: random.Random):
+def _relabelled(net: ReactionNetwork, rng: random.Random, flip: bool = False):
     """net rebuilt through ReactionNetwork.assemble with its species and its
-    reactions in seeded random orders, and those two orders."""
+    reactions in seeded random orders, and those two orders. With flip, the
+    later reaction of one reversible pair is moved ahead of the earlier."""
     species = rng.sample(range(net.n), net.n)
     reactions = rng.sample(range(net.p), net.p)
+    if flip:
+        later, earlier = rng.choice([(j, f) for j, f in enumerate(net.reverse_index) if f is not None])
+        a, b = reactions.index(later), reactions.index(earlier)
+        if a > b:
+            reactions[a], reactions[b] = earlier, later
 
     def coeffs(c):
         return [net.complexes[c].coeffs[i] for i in species]
@@ -70,3 +81,70 @@ def test_complex_graph_verdicts_do_not_depend_on_labels(name, request):
         final = simulate(net, x0, kappa, t_end=1.0, dt=0.01).final
         final_h = simulate(other, x0_h, kappa_h, t_end=1.0, dt=0.01).final
         assert final_h == pytest.approx([final[i] for i in species], rel=1e-9)
+
+
+def _mapped(g, other: ReactionNetwork, reactions):
+    """The graph of other whose partition is g's, each split index carried
+    to the index of the same reaction's source or target in other."""
+    net = g.network
+    index = {}
+    for new, old in enumerate(reactions):
+        index[net.split_sources[old]] = other.split_sources[new]
+        index[net.split_targets[old]] = other.split_targets[new]
+    blocks = [[index[i] for i in block] for block in g.partition.blocks]
+    return graph_from_partition(other, AdmissiblePartition(other, blocks))
+
+
+def _weakly_reversible_sample(net: ReactionNetwork, rng: random.Random, size: int):
+    """size distinct weakly reversible graphs of net, met on seeded walks that
+    split one block at a time from the complex graph, through weakly
+    reversible graphs only, until a walk can go no finer."""
+    found = {}
+    while len(found) < size:
+        g = canonical_complex_graph(net)
+        while g is not None:
+            found.setdefault(frozenset(g.partition.blocks), g)
+            splits = []
+            for b, (first, *rest) in enumerate(g.partition.blocks):
+                for mask in range(1, 2 ** len(rest)):
+                    part = [i for t, i in enumerate(rest) if mask >> t & 1]
+                    keep = [first, *(i for i in rest if i not in part)]
+                    splits.append([*g.partition.blocks[:b], keep, *g.partition.blocks[b + 1:], part])
+            rng.shuffle(splits)
+            finer = (graph_from_partition(net, AdmissiblePartition(net, s)) for s in splits)
+            g = next((h for h in finer if h.is_weakly_reversible), None)
+    return list(found.values())[:size]
+
+
+def test_finer_graph_verdicts_do_not_depend_on_labels_or_pair_order(
+    running, running_wr_graphs, fig2
+):
+    rng = random.Random("relabel/finer")
+    graphs = [*running_wr_graphs, *_weakly_reversible_sample(fig2, rng, 12)]
+    assert len({g.partition.blocks for g in graphs}) == len(graphs)
+    assert sum(g.m > canonical_complex_graph(g.network).m for g in graphs) > 12
+    relabellings = {net: [_relabelled(net, rng, flip=True) for _ in range(2)] for net in (running, fig2)}
+    joins = extra = off = 0
+    for g in graphs:
+        kappas = [helpers.balanced_kappa(rng, g)[0], helpers.random_kappa(rng, g.network.p)]
+        verdicts = [check_kappa_balanced(g, kappa).balanced for kappa in kappas]
+        assert verdicts[0]
+        off += not verdicts[1]
+        pairs = [
+            (i1, i2) for i1 in range(1, g.m + 1) for i2 in range(i1 + 1, g.m + 1)
+            if g.labels[i1 - 1] == g.labels[i2 - 1]
+        ]
+        conditions = [incremental_condition(g, i1, i2) for i1, i2 in pairs]
+        for other, _, reactions in relabellings[g.network]:
+            h = _mapped(g, other, reactions)
+            assert (h.deficiency, h.is_weakly_reversible) == (g.deficiency, True)
+            assert len(balance_conditions(h).relations) == len(balance_conditions(g).relations)
+            kappas_h = [[kappa[j] for j in reactions] for kappa in kappas]
+            assert [check_kappa_balanced(h, kappa).balanced for kappa in kappas_h] == verdicts
+            for (i1, i2), condition in zip(pairs, conditions):
+                mine = incremental_condition(h, i1, i2)
+                assert mine.kind is condition.kind
+                assert [mine.holds(k) for k in kappas_h] == [condition.holds(k) for k in kappas]
+                joins += 1
+                extra += condition.extra_condition
+    assert joins > 50 and extra > 10 and off > 10
