@@ -2,7 +2,7 @@
 
 Reports go to standard output, JSON by default. Exit codes: 0 success,
 1 negative analysis verdict (not balanced, infeasible, blocked
-decomposition), 2 bad input.
+decomposition), 2 bad input or any other error, never read as a verdict.
 
 Each ``cmd_*`` handler takes the parsed network and the arguments and
 returns its report with its exit code; ``main`` alone reads the file,
@@ -26,8 +26,6 @@ from .balance import (
     steady_state_binomials,
 )
 from .dynamics import (
-    ConvergenceError,
-    SimulationError,
     birch_point,
     conservation_laws,
     simulate,
@@ -59,16 +57,12 @@ from .reporting import GraphRows, emit, graph_summary, monomial_str
 from .subnetworks import SubnetworkSplit, decomposition_check, induced_graphs
 
 
-class CliError(Exception):
-    """Bad command line input (exit code 2)."""
-
-
 def _read_file(path: str) -> str:
     try:
         with open(path, encoding="utf-8") as handle:
             return handle.read()
     except OSError as exc:
-        raise CliError(f"cannot read {path}: {exc.strerror}") from exc
+        raise OSError(f"cannot read {path}: {exc.strerror}") from exc
 
 
 def _load_graph(net: ReactionNetwork, args):
@@ -82,7 +76,7 @@ def _fraction(text: str) -> Fraction:
     try:
         return Fraction(text.strip())
     except (ValueError, ZeroDivisionError) as exc:
-        raise CliError(f"not a rational number: {text!r}") from exc
+        raise ValueError(f"not a rational number: {text!r}") from exc
 
 
 def _parse_vector(text: str) -> list[Fraction]:
@@ -95,23 +89,23 @@ def _parse_kappa(net: ReactionNetwork, text: str) -> list:
     if not text.startswith("{"):
         values = _parse_vector(text)
         if len(values) != net.p:
-            raise CliError(f"kappa has {len(values)} entries for {net.p} reactions")
+            raise ValueError(f"kappa has {len(values)} entries for {net.p} reactions")
         return values
     try:
         mapping = json.loads(text)
     except json.JSONDecodeError as exc:
-        raise CliError(f"malformed kappa map: {exc}") from exc
+        raise ValueError(f"malformed kappa map: {exc}") from exc
     if not isinstance(mapping, dict):
-        raise CliError("kappa map must be a JSON object")
+        raise ValueError("kappa map must be a JSON object")
     symbols = {r.rate for r in net.reactions if isinstance(r.rate, str)}
     unknown = sorted(set(mapping) - symbols)
     if unknown:
-        raise CliError(f"unknown rate symbols: {', '.join(unknown)}")
+        raise ValueError(f"unknown rate symbols: {', '.join(unknown)}")
     values = []
     for r in net.reactions:
         if isinstance(r.rate, str):
             if r.rate not in mapping:
-                raise CliError(f"no value for rate symbol {r.rate}")
+                raise ValueError(f"no value for rate symbol {r.rate}")
             values.append(_fraction(str(mapping[r.rate])))
         else:
             values.append(r.rate)
@@ -121,7 +115,7 @@ def _parse_kappa(net: ReactionNetwork, text: str) -> list:
 def _kappa_and_state(net: ReactionNetwork, args):
     """The parsed --kappa and --state, or None when neither is given."""
     if (args.kappa is None) != (args.state is None):
-        raise CliError("--kappa and --state go together")
+        raise ValueError("--kappa and --state go together")
     if args.kappa is None:
         return None
     return _parse_kappa(net, args.kappa), _parse_vector(args.state)
@@ -356,11 +350,11 @@ def cmd_incremental(net: ReactionNetwork, args) -> tuple[dict, int]:
     g = _load_graph(net, args)
     parts = args.join.split(",")
     if len(parts) != 2:
-        raise CliError(f"--join wants two node indices, got {args.join!r}")
+        raise ValueError(f"--join wants two node indices, got {args.join!r}")
     try:
         i1, i2 = int(parts[0]), int(parts[1])
     except ValueError as exc:
-        raise CliError(f"--join wants integers, got {args.join!r}") from exc
+        raise ValueError(f"--join wants integers, got {args.join!r}") from exc
     condition = incremental_condition(g, i1, i2)
     report = {
         "nodes": [i1, i2],
@@ -461,12 +455,12 @@ def main(argv: Sequence[str] | None = None, stream: IO[str] | None = None) -> in
         args = parser.parse_args(argv)
     except SystemExit as exc:
         return int(exc.code) if exc.code else 0
-    # every error the package raises on bad input is a ValueError subclass
-    # (ParseError, PartitionError, SplitError, LiftError, ...)
+    # bad input raises a ValueError (ParseError, PartitionError, ...); any other
+    # exception, an OverflowError say, exits 2 too, since 1 is a verdict
     try:
         report, code = args.handler(parse_network(_read_file(args.file)), args)
         emit(report, args.format, stream if stream is not None else sys.stdout)
-    except (CliError, ValueError, OSError, SimulationError, ConvergenceError) as exc:
+    except Exception as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     return code

@@ -4,11 +4,11 @@ The one module in floating point. The algebraic modules certify exactly
 that a rate vector is node balanced; here exact rate constants and
 states become floats through one rule (``_float``) and one float model
 (``_FloatModel``: the rates, N v, the Jacobian and the RK4 and Cash-Karp
-steps as code generated once per network), which follow the actual ODE
-dx/dt = N v(x), locate the unique positive steady state of a
-stoichiometric compatibility class, and inspect the Jacobian spectrum
-restricted to the class. numpy serves the dense linear algebra alone,
-imported by the functions that use it: the rest of the package runs without it.
+steps as code each network compiles once and keeps), which follow the ODE
+dx/dt = N v(x), locate the unique positive steady state of a stoichiometric
+compatibility class, and inspect the Jacobian spectrum restricted to the
+class. numpy serves the dense linear algebra alone, imported by the
+functions that use it: the rest of the package runs without it.
 """
 
 from __future__ import annotations
@@ -16,7 +16,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from enum import Enum
-from functools import lru_cache
 from typing import Sequence
 
 from . import ratmat
@@ -215,26 +214,22 @@ def _source(net: ReactionNetwork) -> str:
     return "\n".join(lines)
 
 
-@lru_cache(maxsize=8)
-def _compiled(net: ReactionNetwork):
-    """bind for net, compiled once per network."""
+def _compile(net: ReactionNetwork):
+    """net.float_bind: bind compiled from _source(net)."""
     namespace = {"_overflow": _overflow, "_norm": _norm}
     exec(compile(_source(net), "<generated float model>", "exec"), namespace)
     return namespace["bind"]
 
 
 class _FloatModel:
-    """The float form of a network under one rate vector: the network's
-    generated rates, rhs (N v), jacobian, rk4_step and cash_karp_step (see
-    _source), bound to kappa as floats."""
+    """kappa as floats, bound by net.float_bind: the network's generated
+    rates, rhs (N v), jacobian, rk4_step and cash_karp_step (see _source)."""
 
     def __init__(self, net: ReactionNetwork, kappa: Sequence | None):
-        self.rates, self.rhs, self.jacobian, self.rk4_step, self.cash_karp_step = _compiled(net)(
-            tuple(
-                _float(f"kappa[{j}] (reaction r{j + 1})", k)
-                for j, k in enumerate(numeric_kappa(net, kappa))
-            )
-        )
+        exact = numeric_kappa(net, kappa)
+        floats = [_float(f"kappa[{j}] (reaction r{j + 1})", k) for j, k in enumerate(exact)]
+        bound = net.float_bind(floats)
+        self.rates, self.rhs, self.jacobian, self.rk4_step, self.cash_karp_step = bound
 
 
 def conservation_laws(net: ReactionNetwork) -> tuple[tuple[int, ...], ...]:
@@ -348,10 +343,8 @@ def jacobian(net: ReactionNetwork, x: Sequence, kappa: Sequence | None = None) -
     return np.array(_FloatModel(net, kappa).jacobian(xf))
 
 
-@lru_cache(maxsize=8)
-def _stoichiometric_bases(net: ReactionNetwork) -> tuple[np.ndarray, np.ndarray]:
-    """Orthonormal bases (columns) of S = im N and of its orthogonal
-    complement, computed once per network and read-only."""
+def _svd_bases(net: ReactionNetwork) -> tuple[np.ndarray, np.ndarray]:
+    """net.stoichiometric_bases: read-only left singular vectors of N."""
     import numpy as np
     u, _, _ = np.linalg.svd(np.array(net.stoichiometric_matrix, dtype=float))
     u.flags.writeable = False  # and so both views
@@ -420,7 +413,7 @@ def birch_point(
             f"rate constants are not node balanced (log-residual {result.residual:.3g})"
         )
     xi_star = np.array(result.log_x)
-    _, u_perp = _stoichiometric_bases(net)
+    _, u_perp = net.stoichiometric_bases
     if target is None or u_perp.shape[1] == 0:
         return tuple(float(v) for v in np.exp(xi_star))
 
@@ -469,7 +462,7 @@ def class_deviation(net: ReactionNetwork, x: Sequence, x0: Sequence) -> float:
     of the orthogonal-complement coordinates)."""
     import numpy as np
     diff = np.array(_state(net, x, "x")) - np.array(_state(net, x0, "x0"))
-    _, u_perp = _stoichiometric_bases(net)
+    _, u_perp = net.stoichiometric_bases
     return float(np.max(np.abs(u_perp.T @ diff), initial=0.0))
 
 
@@ -507,7 +500,7 @@ def stability_report(
     if not residual < 1e-8:
         raise ValueError(f"not a steady state: residual {residual:.3g} >= 1e-8")
     jac = np.array(model.jacobian(x))
-    basis, _ = _stoichiometric_bases(net)
+    basis, _ = net.stoichiometric_bases
     projected = basis.T @ jac @ basis
     eigs = tuple(complex(z) for z in np.linalg.eigvals(projected)) if projected.size else ()
     if any(z.real > 1e-12 for z in eigs):

@@ -190,6 +190,18 @@ class ReactionNetwork:
             classes[lab].append(idx)
         return tuple(tuple(c) for c in classes)
 
+    @cached_property
+    def float_bind(self):
+        """bind(kappa) compiled from dynamics._source(self), the float model."""
+        from .dynamics import _compile
+        return _compile(self)
+
+    @cached_property
+    def stoichiometric_bases(self):
+        """Read-only orthonormal bases (columns) of S = im N and of its complement."""
+        from .dynamics import _svd_bases
+        return _svd_bases(self)
+
     @classmethod
     def assemble(
         cls,

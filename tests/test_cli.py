@@ -296,6 +296,17 @@ def test_a_state_outside_the_float_range_is_refused(argv, message, capsys):
     assert "Traceback" not in err
 
 
+def test_an_error_the_cli_does_not_raise_itself_exits_two_not_one(capsys):
+    # kappa x 1e200 overflows a float tree constant in the lstsq solve; this
+    # used to end in an OverflowError traceback with exit 1, the verdict code
+    kappa = "1e200,1e200,1e200,1e200,2e200,2e200"
+    code, out = run_cli("steady-state", RUNNING, "--kappa", kappa, "--class", "1,2")
+    assert (code, out) == (2, "")
+    err = capsys.readouterr().err
+    assert err.startswith("error: ")
+    assert "Traceback" not in err
+
+
 def test_steady_state_refuses_a_class_without_a_positive_state(capsys):
     # the class of (0, 0) is {0}; it used to exit 0 with a point at 3.8e-11
     code, out = run_cli(

@@ -485,33 +485,30 @@ def test_generated_rhs_and_rk4_step_equal_the_table_bit_for_bit(running, fig2):
     assert overflowed > 20
 
 
-def test_simulate_compiles_each_network_once_across_kappas():
-    net = parse_network("r1: 2 A + B -> C @ 1\nr2: C -> 2 A + B @ 1\nr3: C -> D @ 1\n")
-    before = crnbalance.dynamics._compiled.cache_info()
+def test_simulate_compiles_each_network_once_across_kappas(monkeypatch):
+    text = "r1: 2 A + B -> C @ 1\nr2: C -> 2 A + B @ 1\nr3: C -> D @ 1\n"
+    net = parse_network(text)
+    source, compiled = crnbalance.dynamics._source, []
+    monkeypatch.setattr(crnbalance.dynamics, "_source", lambda n: compiled.append(n) or source(n))
     first = simulate(net, (1.0, 2.0, 0.5, 0.0), [1.0, 2.0, 0.5], t_end=0.1, dt=0.01)
     second = simulate(net, (1.0, 2.0, 0.5, 0.0), [3.0, 0.5, 2.0], t_end=0.1, dt=0.01)
-    after = crnbalance.dynamics._compiled.cache_info()
-    assert (after.misses - before.misses, after.hits - before.hits) == (1, 1)
+    assert len(compiled) == 1 and compiled[0] is net
     assert first.final != second.final
+    # the model lives on the network object: an equal one compiles its own
+    twin = parse_network(text)
+    assert simulate(twin, (1.0, 2.0, 0.5, 0.0), [1.0, 2.0, 0.5], t_end=0.1, dt=0.01) == first
+    assert len(compiled) == 2 and compiled[1] is twin
 
 
 def test_the_compiled_model_cache_lets_go_of_a_dropped_network():
-    # like the tree cache: a network its caller dropped is freed, with its
-    # compiled model and its stoichiometric bases, once 16 others have run
-    rng = random.Random(1802)
-    net = parse_network(_random_network_text(rng))
+    # the compiled model and the stoichiometric bases live on the network,
+    # so a network its caller dropped is freed with both
+    net = parse_network(_random_network_text(random.Random(1802)))
     simulate(net, (1.0,) * net.n, t_end=0.1, dt=0.01)
     class_deviation(net, (1.0,) * net.n, (1.0,) * net.n)
+    assert {"float_bind", "stoichiometric_bases"} <= vars(net).keys()
     dropped = weakref.ref(net)
     del net
-    others = []  # distinct, since an equal network would be a cache hit on the dropped key
-    while len(others) < 16:
-        other = parse_network(_random_network_text(rng))
-        if other != dropped() and other not in others:
-            others.append(other)
-    for other in others:
-        simulate(other, (1.0,) * other.n, t_end=0.1, dt=0.01)
-        class_deviation(other, (1.0,) * other.n, (1.0,) * other.n)
     gc.collect()
     assert dropped() is None
 
@@ -804,8 +801,8 @@ def test_jacobian_requires_positive_state(ab):
 
 
 def test_the_stoichiometric_bases_are_computed_once_and_read_only(fig2):
-    basis, perp = crnbalance.dynamics._stoichiometric_bases(fig2)
-    assert crnbalance.dynamics._stoichiometric_bases(fig2)[1] is perp
+    basis, perp = fig2.stoichiometric_bases
+    assert fig2.stoichiometric_bases[1] is perp
     for array in (basis, perp):
         with pytest.raises(ValueError, match="read-only"):
             array[0, 0] = 1.0

@@ -1,13 +1,17 @@
-"""Relabelling invariance of graph verdicts.
+"""Relabelling and scaling invariance of graph verdicts.
 
 Reaction graphs are defined modulo isomorphism, so no verdict may depend
 on the order in which a network lists its species or its reactions, nor
-on which reaction of a reversible pair comes first.
+on which reaction of a reversible pair comes first. Each balance
+condition K^u = 1 has u summing to zero on every component, where the
+tree constants K are homogeneous, so no exact verdict may depend on a
+common scale of the rate constants either.
 """
 
 from __future__ import annotations
 
 import random
+from fractions import Fraction
 
 import pytest
 
@@ -148,3 +152,27 @@ def test_finer_graph_verdicts_do_not_depend_on_labels_or_pair_order(
                 joins += 1
                 extra += condition.extra_condition
     assert joins > 50 and extra > 10 and off > 10
+
+
+def test_exact_verdicts_do_not_depend_on_the_scale_of_kappa(running_wr_graphs, fig2):
+    rng = random.Random("scale/kappa")
+    graphs = [*running_wr_graphs, *_weakly_reversible_sample(fig2, rng, 7)]
+    verdicts = []
+    for g in graphs:
+        for kappa in (helpers.balanced_kappa(rng, g)[0], helpers.random_kappa(rng, g.network.p)):
+            verdicts.append(check_kappa_balanced(g, kappa).balanced)
+            for scale in (Fraction(10) ** 200, Fraction(10) ** -200):
+                assert check_kappa_balanced(g, [k * scale for k in kappa]).balanced == verdicts[-1]
+    assert all(verdicts[::2]) and verdicts[1::2].count(False) > 8
+
+
+@pytest.mark.parametrize("scale", [1e-3, 1 / 8, 8, 1e3])
+def test_scaling_x0_scales_the_birch_point_when_every_complex_has_one_molecularity(scale, running):
+    # running's complexes all have molecularity 3, so the vector 1 is orthogonal
+    # to S: scaling x by scale keeps it on the steady-state manifold
+    assert len({c.total for c in running.complexes}) == 1
+    g = canonical_complex_graph(running)
+    kappa = [2, 2, 2, 2, 4, 4]
+    x_star = birch_point(running, g, kappa, (1.0, 2.0))
+    scaled = birch_point(running, g, kappa, (scale * 1.0, scale * 2.0))
+    assert scaled == pytest.approx([scale * v for v in x_star], rel=1e-9, abs=0)

@@ -3,8 +3,8 @@
 The package root must export what it lists, the benchmark under
 ``perfbench/`` must still find every function it wraps or calls and
 count every span its lattice metrics divide by, the exact linear
-algebra stays behind the five names of ``ratmat``, and no module
-imports a name it does not use.
+algebra stays behind the five names of ``ratmat``, no module imports a
+name it does not use, and one function alone keeps a module-level cache.
 """
 
 from __future__ import annotations
@@ -162,6 +162,23 @@ def test_only_dynamics_imports_numpy():
                     at_module_level.add(path.stem)
     assert importers == {"dynamics"}
     assert not at_module_level
+
+
+def test_no_module_cache_but_the_tree_constants():
+    # work that depends only on a network or a graph is a cached_property of
+    # that object and lives as long as it does, with no size to tune. The one
+    # exception stays while perfbench/tracing.py reads
+    # tree_constants_symbolic.cache_info() for its tree cache hit ratio
+    package = Path(crnbalance.__file__).parent
+    cached = [
+        f"{path.stem}.{node.name}"
+        for path in sorted(package.glob("*.py"))
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))
+        for decorator in node.decorator_list
+        if ast.unparse(decorator).split("(")[0].removeprefix("functools.") in ("lru_cache", "cache")
+    ]
+    assert cached == ["balance.tree_constants_symbolic"]
 
 
 def test_exact_commands_and_simulate_run_without_numpy():
