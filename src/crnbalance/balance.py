@@ -60,83 +60,47 @@ def integer_kernel_basis(g: ReactionGraph) -> tuple[tuple[int, ...], ...]:
     return basis
 
 
-@dataclass(frozen=True)
-class TreeConstants:
-    """K_G as polynomials in k1..kp, one per node."""
-
-    graph: ReactionGraph
-    polys: tuple[KPoly, ...]
-
-    def evaluate(self, kappa: Sequence) -> list:
-        return [poly.evaluate(kappa) for poly in self.polys]
-
-
-def _component_in_trees(
-    nodes: Sequence[int], edges: Sequence[tuple[int, int, int]], root: int
-) -> list[tuple[int, ...]]:
-    """Edge-index sets of spanning in-trees rooted at root.
-
-    Every non-root node picks exactly one outgoing edge and the picks
-    must be acyclic (equivalently every node reaches the root). Edges are
-    (source, target, reaction) with source != root allowed only.
-    """
-    out_edges: dict[int, list[tuple[int, int]]] = {v: [] for v in nodes}
-    for a, b, j in edges:
-        out_edges[a].append((b, j))
-    others = [v for v in nodes if v != root]
-    parent: dict[int, int | None] = {v: None for v in nodes}
-    trees: list[tuple[int, ...]] = []
-    chosen: list[int] = []
-
-    def creates_cycle(node: int, to: int) -> bool:
-        cur: int | None = to
-        while cur is not None and cur != root:
-            if cur == node:
-                return True
-            cur = parent.get(cur)
-        return False
-
-    def rec(i: int) -> None:
-        if i == len(others):
-            trees.append(tuple(sorted(chosen)))
-            return
-        node = others[i]
-        for to, j in out_edges[node]:
-            if creates_cycle(node, to):
-                continue
-            parent[node] = to
-            chosen.append(j)
-            rec(i + 1)
-            chosen.pop()
-            parent[node] = None
-
-    rec(0)
-    return trees
-
-
 @lru_cache(maxsize=8)
-def tree_constants_symbolic(g: ReactionGraph) -> TreeConstants:
-    """Spanning in-tree enumeration route for K_G.
+def tree_constants_symbolic(g: ReactionGraph) -> tuple[KPoly, ...]:
+    """K_G as polynomials in k1..kp, one per node, by spanning in-tree enumeration.
 
-    Nodes in components that are not strongly connected may come out as
-    the zero polynomial (no in-tree reaches them).
+    Every node but the root picks one out-edge; a pick is refused when
+    following the picks already made from its target leads back to the
+    node, so each complete set of picks is one in-tree. Nodes in
+    components that are not strongly connected may come out as the zero
+    polynomial (no in-tree reaches them).
     """
     p = g.network.p
+    out_edges: dict[int, list[tuple[int, int]]] = {v: [] for v in range(1, g.m + 1)}
+    for j, (a, b) in enumerate(g.edges):
+        out_edges[a].append((b, j))
     polys: list[KPoly] = [KPoly.zero(p)] * g.m
     for comp in g.components:
-        members = set(comp)
-        local_edges = [
-            (a, b, j) for j, (a, b) in enumerate(g.edges) if a in members and b in members
-        ]
         for root in comp:
+            others = [v for v in comp if v != root]
+            picks: dict[int, tuple[int, int]] = {}
             terms = []
-            for tree in _component_in_trees(comp, local_edges, root):
-                exps = [0] * p
-                for j in tree:
-                    exps[j] = 1
-                terms.append((tuple(exps), 1))
+
+            def walk(i: int) -> None:
+                if i == len(others):
+                    exps = [0] * p
+                    for _, j in picks.values():
+                        exps[j] = 1
+                    terms.append((tuple(exps), 1))
+                    return
+                node = others[i]
+                for edge in out_edges[node]:
+                    end = edge[0]
+                    while end in picks:
+                        end = picks[end][0]
+                    if end != node:
+                        picks[node] = edge
+                        walk(i + 1)
+                        del picks[node]
+
+            walk(0)
             polys[root - 1] = KPoly.from_terms(p, terms)
-    return TreeConstants(g, tuple(polys))
+    return tuple(polys)
 
 
 def laplacian_matrix(g: ReactionGraph, kappa: Sequence) -> list[list[Fraction]]:
@@ -223,7 +187,7 @@ def balance_conditions(g: ReactionGraph, expand: bool = False) -> BalanceConditi
         if trees is not None:
             one = KPoly.constant(g.network.p, 1)
             lhs_poly, rhs_poly = cancel_common_content(
-                _side_product(lhs, trees.polys, one), _side_product(rhs, trees.polys, one)
+                _side_product(lhs, trees, one), _side_product(rhs, trees, one)
             )
         relations.append(Relation(u, lhs, rhs, lhs_poly, rhs_poly))
     return BalanceConditions(g, basis, tuple(relations), expand)
@@ -281,6 +245,9 @@ class Binomial:
     rhs_exps: tuple[int, ...]
 
     def residual(self, x: Sequence):
+        n = len(self.lhs_exps)
+        if len(x) != n:
+            raise ValueError(f"state has {len(x)} entries, network has {n} species")
         lhs = self.lhs_coeff
         rhs = self.rhs_coeff
         for xv, e1, e2 in zip(x, self.lhs_exps, self.rhs_exps):
@@ -407,7 +374,7 @@ def incremental_condition(g: ReactionGraph, i1: int, i2: int) -> IncrementalCond
     if g.join_kind(i1, i2) is StepKind.DIFFERENT_COMPONENTS:
         return IncrementalCondition(g, StepKind.DIFFERENT_COMPONENTS, (i1, i2), None, None)
     trees = tree_constants_symbolic(g)
-    lhs, rhs = cancel_common_content(trees.polys[i1 - 1], trees.polys[i2 - 1])
+    lhs, rhs = cancel_common_content(trees[i1 - 1], trees[i2 - 1])
     return IncrementalCondition(g, StepKind.SAME_COMPONENT, (i1, i2), lhs, rhs)
 
 
@@ -419,8 +386,10 @@ def positive_kernel_flux(g: ReactionGraph, weights: Sequence | None = None) -> l
     sampling node balanced rate constants: kappa_j = flux_j / x^(Y_source)
     makes x node balanced.
     """
-    _require_weakly_reversible(g, "positive_kernel_flux")
     p = g.network.p
+    if weights is not None and len(weights) != p:
+        raise ValueError(f"{len(weights)} weights for {p} reactions")
+    _require_weakly_reversible(g, "positive_kernel_flux")
     succ: dict[int, list[tuple[int, int]]] = {v: [] for v in range(1, g.m + 1)}
     for j, (a, b) in enumerate(g.edges):
         succ[a].append((b, j))

@@ -37,6 +37,8 @@ class ReactionGraph:
 
     def label_vector(self, node: int) -> tuple[int, ...]:
         """Coefficient vector of the complex labeling a (1-based) node."""
+        if not 1 <= node <= self.m:
+            raise ValueError(f"node {node} out of range 1..{self.m}")
         return self.network.complexes[self.labels[node - 1]].coeffs
 
     @cached_property
@@ -180,6 +182,8 @@ class GraphMorphism:
                 raise ValueError(f"morphism breaks edge r{j + 1}: {image} != {tgt.edges[j]}")
 
     def __call__(self, node: int) -> int:
+        if not 1 <= node <= self.source.m:
+            raise ValueError(f"node {node} out of range 1..{self.source.m}")
         return self.mapping[node - 1]
 
     @cached_property

@@ -42,6 +42,10 @@ class LiftedNetwork:
 
     def species_index(self, i: int, j: int) -> int:
         """0-based lifted index of copy j (1-based node) of base species i."""
+        if not 0 <= i < self.base.n:
+            raise ValueError(f"species {i} out of range 0..{self.base.n - 1}")
+        if not 1 <= j <= self.copies:
+            raise ValueError(f"node {j} out of range 1..{self.copies}")
         return i * self.copies + (j - 1)
 
     def replicate(self, x: Sequence) -> tuple:

@@ -145,15 +145,11 @@ class ReactionNetwork:
     @cached_property
     def reverse_index(self) -> tuple[int | None, ...]:
         """For each reaction, the index of the earlier reaction it reverses."""
-        out: list[int | None] = []
+        earlier: dict[tuple[int, int], int] = {}
+        out = []
         for j, r in enumerate(self.reactions):
-            rev = None
-            for f in range(j):
-                other = self.reactions[f]
-                if other.source == r.target and other.target == r.source:
-                    rev = f
-                    break
-            out.append(rev)
+            out.append(earlier.get((r.target, r.source)))
+            earlier[(r.source, r.target)] = j
         return tuple(out)
 
     @cached_property

@@ -115,25 +115,16 @@ def lattice_meet(p1: AdmissiblePartition, p2: AdmissiblePartition) -> Admissible
 
 
 def lattice_join(p1: AdmissiblePartition, p2: AdmissiblePartition) -> AdmissiblePartition:
-    """Finest partition refined by both (transitive closure), canonically ordered."""
+    """Finest partition refined by both, canonically ordered.
+
+    Each block of either partition is merged with every block it touches.
+    """
     _require_same_network(p1, p2)
-    parent = list(range(2 * p1.network.p + 1))
-
-    def find(x: int) -> int:
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
-
-    for part in (p1, p2):
-        for block in part.blocks:
-            root = find(block[0])
-            for idx in block[1:]:
-                parent[find(idx)] = root
-    groups: dict[int, list[int]] = {}
-    for idx in range(1, 2 * p1.network.p + 1):
-        groups.setdefault(find(idx), []).append(idx)
-    blocks = tuple(sorted((tuple(sorted(g)) for g in groups.values()), key=min))
+    merged: list[set[int]] = []
+    for block in p1.blocks + p2.blocks:
+        touched = [b for b in merged if not b.isdisjoint(block)]
+        merged = [b for b in merged if b.isdisjoint(block)] + [set(block).union(*touched)]
+    blocks = tuple(sorted((tuple(sorted(b)) for b in merged), key=min))
     return AdmissiblePartition(p1.network, blocks)
 
 

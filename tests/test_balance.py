@@ -14,6 +14,7 @@ import oracles
 from crnbalance import (
     KPoly,
     NotWeaklyReversibleError,
+    ReactionNetwork,
     StepKind,
     SubnetworkSplit,
     balance_conditions,
@@ -104,7 +105,7 @@ def test_kernel_basis_annihilates_and_is_deterministic():
 def test_tree_constants_g4_reference_monomials(table1):
     trees = tree_constants_symbolic(table1[4])
     n = 6
-    assert trees.polys == (
+    assert trees == (
         _monomial(n, (2, 1), (3, 1), (4, 1), (5, 1)),
         _monomial(n, (1, 1), (3, 1), (4, 1), (5, 1)),
         _monomial(n, (1, 1), (2, 1), (4, 1), (5, 1)),
@@ -116,7 +117,7 @@ def test_tree_constants_g4_reference_monomials(table1):
 def test_tree_constants_g3_reference(table1):
     trees = tree_constants_symbolic(table1[3])
     n = 6
-    assert trees.polys == (
+    assert trees == (
         _monomial(n, (2, 1), (6, 1)),
         _monomial(n, (1, 1), (6, 1)),
         _monomial(n, (1, 1), (2, 1)),
@@ -129,15 +130,23 @@ def test_tree_constants_g3_reference(table1):
 def test_tree_constants_ab(ab):
     g = canonical_complex_graph(ab)
     trees = tree_constants_symbolic(g)
-    assert trees.polys == (KPoly.variable(2, 1), KPoly.variable(2, 0))
-    assert trees.evaluate([Fraction(2), Fraction(1)]) == [Fraction(1), Fraction(2)]
+    assert trees == (KPoly.variable(2, 1), KPoly.variable(2, 0))
+    assert [k.evaluate([Fraction(2), Fraction(1)]) for k in trees] == [Fraction(1), Fraction(2)]
     assert tree_constants_eval(g, [Fraction(2), Fraction(3)]) == [Fraction(3), Fraction(2)]
 
 
-def test_tree_constants_match_brute_force_enumeration():
+def test_tree_constants_match_brute_force_enumeration(table1):
     rng = random.Random(52)
-    for _ in range(10):
-        g = helpers.random_wr_graph(rng, max_nodes=6)
+    graphs = [helpers.random_wr_graph(rng, max_nodes=6) for _ in range(10)]
+    # a 7-node and an 8-node cycle with chords (complexes X..8X), and two
+    # graphs that are not weakly reversible (p5 is one 7-node component)
+    for m, chords in ((7, [(1, 4), (4, 1), (2, 6), (5, 3), (7, 2)]),
+                      (8, [(1, 5), (5, 1), (3, 7), (8, 4), (6, 2)])):
+        cycle = [(a, a % m + 1) for a in range(1, m + 1)]
+        net = ReactionNetwork.assemble(["X"], [((a,), (b,), 1) for a, b in cycle + chords])
+        graphs.append(canonical_complex_graph(net))
+    graphs += [table1[5], table1[6]]
+    for g in graphs:
         trees = tree_constants_symbolic(g)
         for node in range(1, g.m + 1):
             component = next(c for c in g.components if node in c)
@@ -155,15 +164,15 @@ def test_tree_constants_match_brute_force_enumeration():
                 for pos in tree:
                     exps[edge_ids[pos]] = 1
                 expected = expected + KPoly.monomial(g.network.p, exps)
-            assert trees.polys[node - 1] == expected
+            assert trees[node - 1] == expected
 
 
 def test_tree_constant_zero_without_in_trees():
     net = parse_network("r1: A -> B @ 1\n")
     g = canonical_split_graph(net)
     trees = tree_constants_symbolic(g)
-    assert trees.polys[0].is_zero
-    assert trees.polys[1] == KPoly.variable(1, 0)
+    assert trees[0].is_zero
+    assert trees[1] == KPoly.variable(1, 0)
     assert tree_constants_eval(g, [Fraction(5)]) == [Fraction(0), Fraction(5)]
 
 
@@ -174,7 +183,7 @@ def test_minor_route_agrees_with_symbolic():
         trees = tree_constants_symbolic(g)
         for _ in range(2):
             kappa = helpers.random_kappa(rng, g.network.p)
-            assert tree_constants_eval(g, kappa) == trees.evaluate(kappa)
+            assert tree_constants_eval(g, kappa) == [k.evaluate(kappa) for k in trees]
 
 
 def test_laplacian_columns_sum_to_zero(table1):
@@ -294,6 +303,15 @@ def test_binomials_ab(ab):
     assert first.rhs_coeff == Fraction(1) and first.rhs_exps == (0, 1)
     assert first.residual((Fraction(1), Fraction(2))) == 0
     assert first.residual((Fraction(1), Fraction(1))) == Fraction(1)
+
+
+def test_a_binomial_refuses_a_state_of_the_wrong_length(running):
+    # a 1-entry state must not read as a zero residual, nor a 3-entry one as -9
+    first = steady_state_binomials(canonical_complex_graph(running), KPRIME)[0]
+    for x in ((Fraction(1),), (Fraction(1),) * 3):
+        with pytest.raises(ValueError, match=f"state has {len(x)} entries, network has 2 species"):
+            first.residual(x)
+    assert first.residual((Fraction(1), Fraction(1))) == 0
 
 
 def test_binomials_g3_reduce_to_pairwise_equations(table1):
@@ -591,6 +609,17 @@ def test_positive_kernel_flux(table1):
         )
     with pytest.raises(NotWeaklyReversibleError):
         positive_kernel_flux(table1[5])
+
+
+def test_positive_kernel_flux_refuses_a_weight_count_other_than_p(running, table1):
+    # too few weights must not raise IndexError, nor extra ones be ignored;
+    # the count is checked before weak reversibility
+    g = canonical_complex_graph(running)
+    for count in (2, 10):
+        with pytest.raises(ValueError, match=f"^{count} weights for 6 reactions$"):
+            positive_kernel_flux(g, [Fraction(1)] * count)
+    with pytest.raises(ValueError, match="^2 weights for 6 reactions$"):
+        positive_kernel_flux(table1[5], [Fraction(1)] * 2)
 
 
 def test_the_deficiency_counts_independent_relations(running_wr_graphs, fig2_graphs):

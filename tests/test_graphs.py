@@ -21,6 +21,7 @@ from crnbalance import (
     graph_from_partition,
     inclusion_morphism,
     join_nodes,
+    lift_network,
     parse_network,
     ratmat,
 )
@@ -220,6 +221,25 @@ def test_inclusion_requires_refinement(table1):
         inclusion_morphism(table1[2], table1[4])
     with pytest.raises(ValueError, match="refine"):
         inclusion_morphism(table1[4], table1[2])
+
+
+def test_one_based_node_indices_are_range_checked(running, table1):
+    # node 0 must not wrap round to p4's last node, and species_index(5, 9)
+    # must not return 33 for a lifted network of 10 species
+    p4 = table1[4]
+    phi = inclusion_morphism(canonical_complex_graph(running), p4)
+    lift = lift_network(running, p4)
+    for node in (0, -1, 6):
+        with pytest.raises(ValueError, match=rf"node {node} out of range 1\.\.5"):
+            p4.label_vector(node)
+        with pytest.raises(ValueError, match=rf"node {node} out of range 1\.\.5"):
+            phi(node)
+        with pytest.raises(ValueError, match=rf"node {node} out of range 1\.\.5"):
+            lift.species_index(1, node)
+    for species in (-1, 2, 5):
+        with pytest.raises(ValueError, match=rf"species {species} out of range 0\.\.1"):
+            lift.species_index(species, 1)
+    assert (p4.label_vector(5), phi(5), lift.species_index(1, 5)) == ((3, 0), 1, 9)
 
 
 def test_morphism_validation_rejects_label_breaks(table1):

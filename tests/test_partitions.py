@@ -101,6 +101,26 @@ def test_meet_join_bounds_on_random_partitions():
         assert lattice_join(p2, p1).same_partition(join)
 
 
+def test_join_is_the_least_upper_bound_and_meet_the_greatest_lower_bound(running):
+    # every partition refined by both p1 and p2 is refined by their join,
+    # and every partition refining both refines their meet
+    parts = list(enumerate_admissible_partitions(running))
+    rng = random.Random(32)
+    finer_joins = coarser_meets = 0
+    for _ in range(20):
+        p1, p2 = rng.sample(parts, 2)
+        join, meet = lattice_join(p1, p2), lattice_meet(p1, p2)
+        finer_joins += join.size > len(running.complexes)
+        coarser_meets += meet.size < 2 * running.p
+        for q in parts:
+            if refines(p1, q) and refines(p2, q):
+                assert refines(join, q), (p1.blocks, p2.blocks, q.blocks)
+            if refines(q, p1) and refines(q, p2):
+                assert refines(q, meet), (p1.blocks, p2.blocks, q.blocks)
+    # the bounds are not just the coarsest and finest partitions
+    assert finer_joins >= 10 and coarser_meets >= 10
+
+
 def test_bell_numbers():
     assert [bell_number(k) for k in range(7)] == [1, 1, 2, 5, 15, 52, 203]
     assert bell_number(10) == oracles.sympy_bell(10)
