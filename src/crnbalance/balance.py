@@ -40,10 +40,7 @@ def _exact_kappa(g: ReactionGraph, kappa: Sequence) -> list[Fraction]:
 
 def cayley_matrix(g: ReactionGraph) -> tuple[tuple[int, ...], ...]:
     """Labeling matrix Y stacked on component indicator rows; kernel has dim = deficiency."""
-    label_rows = [
-        tuple(g.label_vector(node)[i] for node in range(1, g.m + 1))
-        for i in range(g.network.n)
-    ]
+    label_rows = list(zip(*(g.label_vector(v) for v in range(1, g.m + 1))))
     indicator_rows = [
         tuple(1 if g.component_of[node - 1] == cid else 0 for node in range(1, g.m + 1))
         for cid in range(1, g.n_components + 1)
@@ -123,8 +120,7 @@ def tree_constants_eval(g: ReactionGraph, kappa: Sequence) -> list[Fraction]:
     and column i, and K_i = (-1)^(i+1) det (i the 1-based local index).
     Independent of the enumeration route on purpose.
     """
-    kap = _exact_kappa(g, kappa)
-    full = laplacian_matrix(g, kap)
+    full = laplacian_matrix(g, kappa)
     values: list[Fraction] = [Fraction(0)] * g.m
     for comp in g.components:
         local = [[full[a - 1][b - 1] for b in comp] for a in comp]
@@ -158,7 +154,6 @@ class BalanceConditions:
     graph: ReactionGraph
     kernel_basis: tuple[tuple[int, ...], ...]
     relations: tuple[Relation, ...]
-    expanded: bool
 
 
 def _side_product(side: Sequence[tuple[int, int]], values: Sequence, one):
@@ -190,7 +185,7 @@ def balance_conditions(g: ReactionGraph, expand: bool = False) -> BalanceConditi
                 _side_product(lhs, trees, one), _side_product(rhs, trees, one)
             )
         relations.append(Relation(u, lhs, rhs, lhs_poly, rhs_poly))
-    return BalanceConditions(g, basis, tuple(relations), expand)
+    return BalanceConditions(g, basis, tuple(relations))
 
 
 @dataclass(frozen=True)
@@ -262,8 +257,7 @@ def steady_state_binomials(g: ReactionGraph, kappa: Sequence) -> tuple[Binomial,
     """One binomial equation per edge; their common positive zeros are the
     node balanced steady states."""
     _require_weakly_reversible(g, "steady_state_binomials")
-    kap = _exact_kappa(g, kappa)
-    constants = tree_constants_eval(g, kap)
+    constants = tree_constants_eval(g, kappa)
     out = []
     for j, (a, b) in enumerate(g.edges):
         out.append(

@@ -225,10 +225,13 @@ def cmd_balance_check(net: ReactionNetwork, args) -> tuple[dict, int]:
 def cmd_steady_state(net: ReactionNetwork, args) -> tuple[dict, int]:
     g = _load_graph(net, args)
     kappa = _parse_kappa(net, args.kappa)
+    feasible = check_kappa_balanced(g, kappa).balanced  # exact; the float solve gives x
     result = solve_positive_steady_state(g, kappa)
+    if feasible and not result.feasible:
+        raise ValueError(f"float solve left log-residual {result.residual:.3g} on a balanced kappa")
     report = {
         "kappa": [format_rate(Fraction(k)) for k in kappa],
-        "feasible": result.feasible,
+        "feasible": feasible,
         "log_residual": result.residual,
         "binomials": [
             {
@@ -243,7 +246,7 @@ def cmd_steady_state(net: ReactionNetwork, args) -> tuple[dict, int]:
             for b in steady_state_binomials(g, kappa)
         ],
     }
-    if result.feasible:
+    if feasible:
         report["x"] = list(result.x)
         if args.class_anchor is not None:
             anchor = _parse_vector(args.class_anchor)
@@ -255,7 +258,7 @@ def cmd_steady_state(net: ReactionNetwork, args) -> tuple[dict, int]:
                 "eigenvalues": list(stability.eigenvalues),
                 "verdict": stability.verdict,
             }
-    return report, 0 if result.feasible else 1
+    return report, 0 if feasible else 1
 
 
 def cmd_simulate(net: ReactionNetwork, args) -> tuple[dict, int]:

@@ -19,13 +19,14 @@ from enum import Enum
 from typing import Sequence
 
 from . import ratmat
-from .balance import RESIDUAL_TOL, _require_weakly_reversible, steady_state_binomials
+from .balance import RESIDUAL_TOL, _require_weakly_reversible, tree_constants_eval
 from .graphs import ReactionGraph
 from .network import ReactionNetwork, numeric_kappa
 
 
 # simulate stops once the infinity norm of N v(x) is below this
 STEADY_TOL = 1e-10
+MAX_STEPS = 2_000_000  # simulate's cap on step attempts, rejected ones included
 
 
 class SimulationError(RuntimeError):
@@ -270,14 +271,14 @@ def simulate(
     dt: float | None = None,
     adaptive: bool = False,
     tol: float = 1e-8,
-    max_steps: int = 2_000_000,
 ) -> SimulationTrace:
     """Integrate dx/dt = N v(x) from x0 up to t_end.
 
     Fixed-step classical Runge-Kutta by default (step from the Jacobian
     scale at x0, overridable via dt); adaptive=True switches to the
     embedded Cash-Karp 4(5) pair with relative tolerance tol. Stops
-    early once the infinity norm of N v(x) drops below STEADY_TOL.
+    early once the infinity norm of N v(x) drops below STEADY_TOL, or
+    after MAX_STEPS step attempts.
     Components that dip below zero by less than 1e-12 are clipped;
     larger excursions reject the step and halve it.
 
@@ -303,7 +304,7 @@ def simulate(
     steps = 0
 
     # summed steps can land a rounding sliver short of t_end; that sliver ends the run
-    while not residual < STEADY_TOL and t_end - t > h_min and steps < max_steps:
+    while not residual < STEADY_TOL and t_end - t > h_min and steps < MAX_STEPS:
         h = min(h, t_end - t)
         if h < h_min:
             raise SimulationError(f"step size underflow at t={t:.6g}")
@@ -360,20 +361,20 @@ class SteadyStateResult:
 
 
 def solve_positive_steady_state(g: ReactionGraph, kappa: Sequence) -> SteadyStateResult:
-    """Least-squares solve of the log-linear binomial system.
+    """Least-squares solve of the log-linear system N^T log x = C_G^T log K.
 
-    Taking logs of each edge's binomial K_j x^(Y_i) = K_i x^(Y_j) gives
-    (Y_j - Y_i) . xi = log K_j - log K_i with xi = log x. Consistency of
-    this system (residual below RESIDUAL_TOL) is equivalent to the kappa being
-    node balanced; the returned x is one positive solution.
+    Row j is the log of edge (a, b)'s binomial K_b x^(Y_a) = K_a x^(Y_b),
+    with K the tree constants. Consistency of this system (residual below
+    RESIDUAL_TOL) is equivalent to the kappa being node balanced; the
+    returned x is one positive solution.
     """
     import numpy as np
     _require_weakly_reversible(g, "solve_positive_steady_state")
-    binomials = steady_state_binomials(g, kappa)
-    mat = np.array([[float(q - p) for p, q in zip(b.lhs_exps, b.rhs_exps)] for b in binomials])
-    vec = np.array([math.log(b.lhs_coeff) - math.log(b.rhs_coeff) for b in binomials])
+    constants = tree_constants_eval(g, kappa)
+    mat = np.array(ratmat.transpose(g.network.stoichiometric_matrix), dtype=float)
+    vec = np.array([math.log(constants[b - 1]) - math.log(constants[a - 1]) for a, b in g.edges])
     xi, *_ = np.linalg.lstsq(mat, vec, rcond=None)
-    residual = float(np.max(np.abs(mat @ xi - vec))) if binomials else 0.0
+    residual = float(np.max(np.abs(mat @ xi - vec))) if g.edges else 0.0
     if residual >= RESIDUAL_TOL:
         return SteadyStateResult(False, None, None, residual)
     x = tuple(float(v) for v in np.exp(xi))

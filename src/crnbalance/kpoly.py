@@ -107,7 +107,7 @@ class KPoly:
             out.append((shifted, c))
         return KPoly(self.nvars, tuple(sorted(out)))
 
-    def format(self, prefix: str = "k") -> str:
+    def format(self) -> str:
         if not self.terms:
             return "0"
         # largest exponent tuple first reads like the handwritten polynomials
@@ -116,9 +116,9 @@ class KPoly:
             factors = []
             for i, e in enumerate(exps):
                 if e == 1:
-                    factors.append(f"{prefix}{i + 1}")
+                    factors.append(f"k{i + 1}")
                 elif e > 1:
-                    factors.append(f"{prefix}{i + 1}^{e}")
+                    factors.append(f"k{i + 1}^{e}")
             body = "*".join(factors) if factors else "1"
             if coeff == 1:
                 chunks.append(body)

@@ -15,7 +15,7 @@ from typing import Sequence
 
 from .balance import node_balance_residual, residual_is_zero
 from .graphs import ReactionGraph, canonical_complex_graph
-from .network import RateValue, ReactionNetwork, mass_action_rates, numeric_kappa
+from .network import ReactionNetwork, mass_action_rates, numeric_kappa
 
 
 class LiftError(ValueError):
@@ -63,11 +63,9 @@ class LiftedNetwork:
         m = self.copies
         return tuple(sum(lifted_x[i * m : (i + 1) * m]) for i in range(self.base.n))
 
-    def lifted_kappa(
-        self, kappa: Sequence | None = None, exchange: RateValue = Fraction(1)
-    ) -> list:
-        """Rate constants for the lifted network: inherited then exchange."""
-        return list(numeric_kappa(self.base, kappa)) + [exchange] * self.n_exchange
+    def lifted_kappa(self, kappa: Sequence | None = None) -> list:
+        """Rate constants for the lifted network: inherited, then exchange rate 1."""
+        return list(numeric_kappa(self.base, kappa)) + [Fraction(1)] * self.n_exchange
 
 
 def lift_network(net: ReactionNetwork, g: ReactionGraph) -> LiftedNetwork:

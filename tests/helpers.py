@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import itertools
 import random
 from fractions import Fraction
 
@@ -14,6 +15,7 @@ from crnbalance import (
     graph_from_partition,
     positive_kernel_flux,
 )
+from crnbalance.partitions import _set_partitions
 
 
 def random_fraction(rng: random.Random, max_num: int = 9, max_den: int = 9) -> Fraction:
@@ -290,3 +292,23 @@ def circulating_kappa(
     for j in cycle:
         flux[j] += extra
     return _kappa_at_random_state(rng, graph.network, flux)
+
+
+def weakly_reversible_graphs(net: ReactionNetwork) -> list[ReactionGraph]:
+    """Every weakly reversible graph of net.
+
+    A node of such a graph has an edge out and an edge in, so only the
+    label-class partitions whose every block holds a source and a target
+    split index are combined, and each combination is then tested.
+    """
+    sources = set(net.split_sources)
+    per_class = [
+        [parts for parts in _set_partitions(members)
+         if all(not sources.isdisjoint(b) and not sources.issuperset(b) for b in parts)]
+        for members in net.split_classes
+    ]
+    graphs = (
+        graph_from_partition(net, AdmissiblePartition(net, sum(choice, [])))
+        for choice in itertools.product(*per_class)
+    )
+    return [g for g in graphs if g.is_weakly_reversible]

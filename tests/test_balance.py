@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import gc
+import math
 import random
 import weakref
 from fractions import Fraction
@@ -351,6 +352,23 @@ def test_solver_fixed_points(table1, ab):
     res = solve_positive_steady_state(g, [2, 1])
     assert res.feasible
     assert res.x[1] / res.x[0] == pytest.approx(2.0, rel=1e-9)
+
+
+def test_the_solved_state_zeroes_every_binomial(running, fig2):
+    # the solve reads N^T and the tree constants, not the binomials: tie the two
+    # forms on every weakly reversible graph of running and fig2
+    rng = random.Random(63)
+    graphs = helpers.weakly_reversible_graphs(running) + helpers.weakly_reversible_graphs(fig2)
+    assert len(graphs) == 9 + 103
+    for g in graphs:
+        kappa, _ = helpers.balanced_kappa(rng, g)
+        x = solve_positive_steady_state(g, kappa).x
+        for b in steady_state_binomials(g, kappa):
+            sides = [
+                float(c) * math.prod(v**e for v, e in zip(x, exps))
+                for c, exps in ((b.lhs_coeff, b.lhs_exps), (b.rhs_coeff, b.rhs_exps))
+            ]
+            assert abs(b.residual(x)) <= 1e-9 * max(sides)
 
 
 def test_solver_matches_ode_on_sampled_balanced_kappa(table1):

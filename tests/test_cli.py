@@ -10,7 +10,7 @@ import tracemalloc
 
 import pytest
 
-from crnbalance import cli
+from crnbalance import SteadyStateResult, cli
 from crnbalance.cli import main
 
 DATA = "tests/data"
@@ -237,6 +237,28 @@ def test_steady_state_infeasible_exits_one():
     assert code == 1
     assert report["feasible"] is False
     assert "x" not in report
+
+
+def test_steady_state_feasibility_is_the_exact_verdict_of_balance_check():
+    # 1e-12 off balance on p4: the lstsq log-residual is under 1e-9, and
+    # steady-state used to exit 0 with "feasible": true where balance check exits 1
+    kappa = "1000000000001/1000000000000,1,1,1,2,2"
+    code, check = run_json("balance", "check", RUNNING, "--partition", P4, "--kappa", kappa)
+    assert (code, check["balanced"]) == (1, False)
+    code, report = run_json(
+        "steady-state", RUNNING, "--partition", P4, "--kappa", kappa, "--class", "1,2"
+    )
+    assert (code, report["feasible"]) == (1, False)
+    assert 0 < report["log_residual"] < 1e-9
+    assert "x" not in report and "birch_point" not in report
+
+
+def test_steady_state_refuses_a_float_solve_that_misses_a_balanced_kappa(monkeypatch, capsys):
+    missed = SteadyStateResult(False, None, None, 2e-9)
+    monkeypatch.setattr(cli, "solve_positive_steady_state", lambda g, kappa: missed)
+    code, out = run_cli("steady-state", RUNNING, "--partition", P4, "--kappa", "1,1,1,1,2,2")
+    assert (code, out) == (2, "")
+    assert "log-residual 2e-09 on a balanced kappa" in capsys.readouterr().err
 
 
 def test_simulate_csv_trace():

@@ -629,8 +629,9 @@ def test_every_state_input_must_be_finite(ab, bad):
             call()
 
 
-def test_simulate_stops_at_max_steps(ab):
-    trace = simulate(ab, (3.0, 0.0), t_end=5.0, dt=1e-5, max_steps=10)
+def test_simulate_stops_at_max_steps(ab, monkeypatch):
+    monkeypatch.setattr(crnbalance.dynamics, "MAX_STEPS", 10)
+    trace = simulate(ab, (3.0, 0.0), t_end=5.0, dt=1e-5)
     assert trace.steps == 10
     assert not trace.steady
     assert trace.times[-1] < 5.0

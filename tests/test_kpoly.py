@@ -89,7 +89,7 @@ def test_format_strings():
     assert KPoly.monomial(3, (1, 0, 2)).format() == "k1*k3^2"
     p = KPoly.from_terms(2, [((1, 0), 1), ((0, 1), -2)])
     assert p.format() == "k1 - 2*k2"
-    assert KPoly.monomial(2, (0, 1), coeff=-1).format(prefix="x") == "-x2"
+    assert KPoly.monomial(2, (0, 1), coeff=-1).format() == "-k2"
 
 
 def test_power_rejects_negative():

@@ -64,12 +64,12 @@ def test_replicate_and_project(running, table1):
 
 def test_lifted_kappa_inherits_then_exchanges(running, table1):
     lift = lift_network(running, table1[4])
-    kappa = lift.lifted_kappa([1, 2, 3, 4, 5, 6], exchange=Fraction(3))
+    kappa = lift.lifted_kappa([1, 2, 3, 4, 5, 6])
     assert kappa[:6] == [1, 2, 3, 4, 5, 6]
-    assert set(kappa[6:]) == {Fraction(3)}
+    assert set(kappa[6:]) == {Fraction(1)}
     assert len(kappa) == 46
-    default = lift.lifted_kappa([1, 2, 3, 4, 5, 6])
-    assert set(default[6:]) == {Fraction(1)}
+    # the exchange rates are the ones lift_network stores
+    assert kappa[6:] == [r.rate for r in lift.network.reactions[6:]]
 
 
 def test_lift_deficiency_and_rank(table1):
