@@ -4,7 +4,8 @@ The one module in floating point. The algebraic modules certify exactly
 that a rate vector is node balanced; here exact rate constants and
 states become floats through one rule (``_float``) and one float model
 (``_FloatModel``: the rates, N v, the Jacobian and the RK4 and Cash-Karp
-steps as code each network compiles once and keeps), which follow the ODE
+steps as code each network compiles once and keeps, every step stage one
+call of that N v), which follow the ODE
 dx/dt = N v(x), locate the unique positive steady state of a stoichiometric
 compatibility class, and inspect the Jacobian spectrum restricted to the
 class. numpy serves the dense linear algebra alone, imported by the
@@ -114,17 +115,18 @@ def _source(net: ReactionNetwork) -> str:
     """Straight-line Python defining bind(kappa) -> (rates, rhs, jacobian,
     rk4_step, cash_karp_step) for net: the one float model of the network.
 
-    Each component takes kappa * prod(x ** Y) and N @ v in their array
-    order: x_i ** e multiplied from the left (dropped factors x ** 0 = 1
-    and terms 0 * v are exact no-ops; one past the float range is inf, as
-    in numpy), kappa_j times that, then 0.0 + c1 v1 + c2 v2 ... in reaction
-    order. J_ik = 0.0 + c_ij (v_j e_jk / x_k) + ... by reaction, from the
-    rates. A step maps (rhs, x, fx = rhs(x), h, tol) to (x_new, error norm
-    over tol, next h): classical RK4 (no error, h kept) with its three
-    inner right-hand sides written out, or Cash-Karp 4(5) with every
-    tableau term, zeros included (0.0 * inf is nan), its stages calling
-    rhs. Only integer indices, float literals and fixed local names reach
-    the source, never a species name or a reaction label."""
+    rates and rhs take kappa * prod(x ** Y) and N @ v in their array order:
+    x_i ** e multiplied from the left (a factor x ** 1 is x itself, dropped
+    factors x ** 0 = 1 and terms 0 * v are exact no-ops; one past the float
+    range is inf, as in numpy), kappa_j times that, then 0.0 + c1 v1 +
+    c2 v2 ... in reaction order. They are the only two copies of the rate
+    lines. J_ik = 0.0 + c_ij (v_j e_jk / x_k) + ... by reaction, from the
+    rates. A step maps (x, fx = rhs(x), h, tol) to (x_new, error norm over
+    tol, next h): classical RK4 (no error, h kept) or Cash-Karp 4(5) with
+    every tableau term, zeros included (0.0 * inf is nan); each stage of
+    either is one call of rhs. Only integer indices, float literals and
+    fixed local names reach the source, never a species name or a reaction
+    label."""
     sources = [
         tuple((i, float(e)) for i, e in enumerate(net.complexes[r.source].coeffs) if e)
         for r in net.reactions
@@ -134,32 +136,26 @@ def _source(net: ReactionNetwork) -> str:
     ]
     n = net.n
 
-    def rates(x: str) -> list[str]:
-        # v_j = kappa_j x^(Y_j) at the state held in the locals x0, x1, ...
-        lines = []
-        for j, source in enumerate(sources):
-            factors = []
-            for i, e in source:
-                if e == 1.0:
-                    factors.append(f"{x}{i} ** 1.0")
-                    continue
-                factors.append(f"p{len(factors)}")
-                lines += [  # zero-cost on 3.11
-                    "try:",
-                    f"    {factors[-1]} = {x}{i} ** {e!r}",
-                    "except OverflowError:",
-                    f"    {factors[-1]} = _overflow({x}{i}, {e!r})",
-                ]
-            lines += _chain("m", factors[0] if factors else "1.0", "*", factors[1:])
-            lines.append(f"v{j} = k{j} * m")
-        return lines
-
-    def stage(x: str, out: str) -> list[str]:
-        # out_i = (N v)_i at the state held in the locals x0, x1, ...
-        return rates(x) + [
-            line for i, row in enumerate(rows)
-            for line in _chain(f"{out}{i}", "0.0", "+", [f"{c!r} * v{j}" for j, c in row])
-        ]
+    rates = []  # v_j = kappa_j x^(Y_j) at the state held in the locals x0, x1, ...
+    for j, source in enumerate(sources):
+        factors = []
+        for i, e in source:
+            if e == 1.0:
+                factors.append(f"x{i}")
+                continue
+            factors.append(f"p{len(factors)}")
+            rates += [  # zero-cost on 3.11
+                "try:",
+                f"    {factors[-1]} = x{i} ** {e!r}",
+                "except OverflowError:",
+                f"    {factors[-1]} = _overflow(x{i}, {e!r})",
+            ]
+        rates += _chain("m", factors[0] if factors else "1.0", "*", factors[1:])
+        rates.append(f"v{j} = k{j} * m")
+    rhs = [  # d_i = (N v)_i
+        line for i, row in enumerate(rows)
+        for line in _chain(f"d{i}", "0.0", "+", [f"{c!r} * v{j}" for j, c in row])
+    ]
 
     def advance(out: str, coeffs: Sequence[float], ks: str) -> list[str]:
         # out_i = x_i + h * (0.0 + c1 k1_i + c2 k2_i + ...), ks naming k1, k2, ...
@@ -181,12 +177,9 @@ def _source(net: ReactionNetwork) -> str:
         f"{_vector('x{}', n)}= x",
         f"{_vector('f{}', n)}= fx",
         "hh = 0.5 * h",
-        *(f"y{i} = x{i} + hh * f{i}" for i in range(n)),
-        *stage("y", "a"),
-        *(f"y{i} = x{i} + hh * a{i}" for i in range(n)),
-        *stage("y", "b"),
-        *(f"y{i} = x{i} + h * b{i}" for i in range(n)),
-        *stage("y", "c"),
+        f"{_vector('a{}', n)}= rhs([{_vector('x{0} + hh * f{0}', n)}])",
+        f"{_vector('b{}', n)}= rhs([{_vector('x{0} + hh * a{0}', n)}])",
+        f"{_vector('c{}', n)}= rhs([{_vector('x{0} + h * b{0}', n)}])",
         "h6 = h / 6.0",
         f"return [{_vector('x{0} + h6 * (f{0} + 2.0 * a{0} + 2.0 * b{0} + c{0})', n)}], 0.0, h",
     ]
@@ -202,11 +195,11 @@ def _source(net: ReactionNetwork) -> str:
         f"return [{_vector('y{}', n)}], err, h * min(5.0, max(0.2, 0.9 * (err + 1e-16) ** -0.2))",
     ]
     functions = {
-        "rates(x)": [f"{_vector('x{}', n)}= x", *rates("x"), f"return [{_vector('v{}', net.p)}]"],
-        "rhs(x)": [f"{_vector('x{}', n)}= x", *stage("x", "d"), f"return [{_vector('d{}', n)}]"],
+        "rates(x)": [f"{_vector('x{}', n)}= x", *rates, f"return [{_vector('v{}', net.p)}]"],
+        "rhs(x)": [f"{_vector('x{}', n)}= x", *rates, *rhs, f"return [{_vector('d{}', n)}]"],
         "jacobian(x)": jacobian,
-        "rk4_step(rhs, x, fx, h, tol)": rk4,
-        "cash_karp_step(rhs, x, fx, h, tol)": cash_karp,
+        "rk4_step(x, fx, h, tol)": rk4,
+        "cash_karp_step(x, fx, h, tol)": cash_karp,
     }
     lines = ["def bind(kappa):", f"    {_vector('k{}', net.p)}= kappa"]
     for head, body in functions.items():
@@ -308,7 +301,7 @@ def simulate(
         h = min(h, t_end - t)
         if h < h_min:
             raise SimulationError(f"step size underflow at t={t:.6g}")
-        x_new, err, h_next = step(model.rhs, x, fx, h, tol)
+        x_new, err, h_next = step(x, fx, h, tol)
         if not all(map(math.isfinite, x_new)):
             raise SimulationError(f"non-finite state at t={t + h:.6g}")
         low = min(x_new)

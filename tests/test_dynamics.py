@@ -9,6 +9,7 @@ import random
 import subprocess
 import sys
 import weakref
+from collections import Counter
 from fractions import Fraction
 from pathlib import Path
 
@@ -474,13 +475,13 @@ def test_generated_rhs_and_rk4_step_equal_the_table_bit_for_bit(running, fig2):
             overflowed += not all(map(math.isfinite, expected))
             # repr tells inf from nan and -0.0 from 0.0
             assert list(map(repr, model.rhs(x))) == list(map(repr, expected))
-            x_new, err, h_next = model.rk4_step(model.rhs, x, model.rhs(x), h, 1e-8)
+            x_new, err, h_next = model.rk4_step(x, model.rhs(x), h, 1e-8)
             assert list(map(repr, x_new)) == list(map(repr, _table_rk4_step(net, kappa, x, h)))
             assert (err, h_next) == (0.0, h)
             assert list(map(repr, model.rates(x))) == list(map(repr, _table_rates(net, kappa, x)))
             assert repr(model.jacobian(x)) == repr(_table_jacobian(net, kappa, x))
             tol = 1e-3 if trial % 2 else 1e-8
-            x_new, err, h_next = model.cash_karp_step(model.rhs, x, model.rhs(x), h, tol)
+            x_new, err, h_next = model.cash_karp_step(x, model.rhs(x), h, tol)
             assert repr((x_new, err, h_next)) == repr(_table_cash_karp_step(net, kappa, x, h, tol))
     assert overflowed > 20
 
@@ -532,6 +533,16 @@ def test_a_species_in_3000_reactions_compiles_and_keeps_the_table_sum():
     model = crnbalance.dynamics._FloatModel(net, None)
     x = [1.5, 0.5]
     assert model.rhs(x) == _table_rhs(net, [1] * net.p, x)
+
+
+def test_the_generated_source_writes_each_rate_once_in_rates_and_once_in_rhs(ab, running, fig2):
+    # every RK4 and Cash-Karp stage calls rhs; a unit exponent is the bare variable
+    big = ReactionNetwork.assemble(("A", "B"), [((1, 0), (0, k), 1) for k in range(1, 3001)])
+    for net in (ab, running, fig2, big):
+        source = crnbalance.dynamics._source(net)
+        lines = Counter(line.strip() for line in source.splitlines())
+        assert [lines[f"v{j} = k{j} * m"] for j in range(net.p)] == [2] * net.p
+        assert "** 1.0" not in source
 
 
 def test_a_nan_right_hand_side_never_reads_as_steady():
