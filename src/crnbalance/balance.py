@@ -34,8 +34,7 @@ def _require_weakly_reversible(g: ReactionGraph, what: str) -> None:
 
 
 def _exact_kappa(g: ReactionGraph, kappa: Sequence) -> list[Fraction]:
-    values = numeric_kappa(g.network, list(kappa))
-    return [Fraction(v) for v in values]
+    return [Fraction(v) for v in numeric_kappa(g.network, kappa)]
 
 
 def cayley_matrix(g: ReactionGraph) -> tuple[tuple[int, ...], ...]:
@@ -201,8 +200,12 @@ class RelationValue:
 
 @dataclass(frozen=True)
 class BalanceCheck:
+    """What check_kappa_balanced returns: the exact tree constants K of
+    graph at the kappa checked, and each kernel relation evaluated at K.
+    steady_state_binomials reads graph and K from it."""
+
     graph: ReactionGraph
-    kappa: tuple[Fraction, ...]
+    constants: tuple[Fraction, ...]
     values: tuple[RelationValue, ...]
 
     @property
@@ -217,15 +220,13 @@ def check_kappa_balanced(g: ReactionGraph, kappa: Sequence) -> BalanceCheck:
     each relation's two sides as exact rationals.
     """
     _require_weakly_reversible(g, "check_kappa_balanced")
-    kap = _exact_kappa(g, kappa)
-    conditions = balance_conditions(g)
-    constants = tree_constants_eval(g, kap)
+    constants = tree_constants_eval(g, kappa)
     values = []
-    for rel in conditions.relations:
+    for rel in balance_conditions(g).relations:
         lhs = _side_product(rel.lhs, constants, Fraction(1))
         rhs = _side_product(rel.rhs, constants, Fraction(1))
         values.append(RelationValue(rel, lhs, rhs))
-    return BalanceCheck(g, tuple(kap), tuple(values))
+    return BalanceCheck(g, tuple(constants), tuple(values))
 
 
 @dataclass(frozen=True)
@@ -253,20 +254,19 @@ class Binomial:
         return lhs - rhs
 
 
-def steady_state_binomials(g: ReactionGraph, kappa: Sequence) -> tuple[Binomial, ...]:
-    """One binomial equation per edge; their common positive zeros are the
-    node balanced steady states."""
-    _require_weakly_reversible(g, "steady_state_binomials")
-    constants = tree_constants_eval(g, kappa)
+def steady_state_binomials(check: BalanceCheck) -> tuple[Binomial, ...]:
+    """One binomial equation per edge of check.graph, with check's tree
+    constants; their common positive zeros are the node balanced steady states."""
+    g, constants = check.graph, check.constants
     out = []
     for j, (a, b) in enumerate(g.edges):
         out.append(
             Binomial(
                 edge=(a, b),
                 reaction=j + 1,
-                lhs_coeff=Fraction(constants[b - 1]),
+                lhs_coeff=constants[b - 1],
                 lhs_exps=g.label_vector(a),
-                rhs_coeff=Fraction(constants[a - 1]),
+                rhs_coeff=constants[a - 1],
                 rhs_exps=g.label_vector(b),
             )
         )

@@ -44,7 +44,6 @@ from .network import (
     ReactionNetwork,
     format_network,
     format_rate,
-    numeric_kappa,
     parse_network,
 )
 from .partitions import (
@@ -205,9 +204,10 @@ def cmd_balance_conditions(net: ReactionNetwork, args) -> tuple[dict, int]:
 
 def cmd_balance_check(net: ReactionNetwork, args) -> tuple[dict, int]:
     g = _load_graph(net, args)
-    check = check_kappa_balanced(g, _parse_kappa(net, args.kappa))
+    kappa = _parse_kappa(net, args.kappa)
+    check = check_kappa_balanced(g, kappa)
     report = {
-        "kappa": [format_rate(k) for k in check.kappa],
+        "kappa": [format_rate(Fraction(k)) for k in kappa],
         "balanced": check.balanced,
         "relations": [
             {
@@ -225,7 +225,8 @@ def cmd_balance_check(net: ReactionNetwork, args) -> tuple[dict, int]:
 def cmd_steady_state(net: ReactionNetwork, args) -> tuple[dict, int]:
     g = _load_graph(net, args)
     kappa = _parse_kappa(net, args.kappa)
-    feasible = check_kappa_balanced(g, kappa).balanced  # exact; the float solve gives x
+    check = check_kappa_balanced(g, kappa)
+    feasible = check.balanced  # exact; the float solve gives x
     result = solve_positive_steady_state(g, kappa)
     if feasible and not result.feasible:
         raise ValueError(f"float solve left log-residual {result.residual:.3g} on a balanced kappa")
@@ -243,7 +244,7 @@ def cmd_steady_state(net: ReactionNetwork, args) -> tuple[dict, int]:
                     monomial_str(net.species, b.rhs_exps),
                 ),
             }
-            for b in steady_state_binomials(g, kappa)
+            for b in steady_state_binomials(check)
         ],
     }
     if feasible:
@@ -369,7 +370,7 @@ def cmd_incremental(net: ReactionNetwork, args) -> tuple[dict, int]:
     }
     if args.kappa is None:
         return report, 0
-    kappa = numeric_kappa(net, _parse_kappa(net, args.kappa))
+    kappa = _parse_kappa(net, args.kappa)
     holds = condition.holds(kappa)
     report["kappa"] = [format_rate(Fraction(k)) for k in kappa]
     report["holds"] = holds

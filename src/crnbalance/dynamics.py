@@ -400,8 +400,7 @@ def birch_point(
     if g.network != net:
         raise ValueError("graph belongs to a different network")
     target = None if x0 is None else np.array(_state(net, x0, "x0"))
-    kap = numeric_kappa(net, kappa)
-    result = solve_positive_steady_state(g, kap)
+    result = solve_positive_steady_state(g, kappa)
     if not result.feasible:
         raise NotBalancedError(
             f"rate constants are not node balanced (log-residual {result.residual:.3g})"
@@ -444,7 +443,7 @@ def birch_point(
         raise ConvergenceError("Newton did not converge in 100 iterations")
 
     x = x.tolist()
-    model = _FloatModel(net, kap)
+    model = _FloatModel(net, kappa)
     residual = _norm(model.rhs(x))
     if not residual < 1e-10 * max(1.0, _norm(model.rates(x))):
         raise ConvergenceError(f"steady-state residual {residual:.3g} too large")

@@ -159,12 +159,11 @@ def verify_lift(
     by the zero rule of ``balance.residual_is_zero``.
     """
     lift = lift_network(net, g)
-    kap = numeric_kappa(net, kappa)
-    base_residual = node_balance_residual(g, mass_action_rates(net, x, kap))
+    base_residual = node_balance_residual(g, mass_action_rates(net, x, kappa))
     lifted_graph = canonical_complex_graph(lift.network)
     lifted_residual = node_balance_residual(
         lifted_graph,
-        mass_action_rates(lift.network, lift.replicate(x), lift.lifted_kappa(kap)),
+        mass_action_rates(lift.network, lift.replicate(x), lift.lifted_kappa(kappa)),
     )
     row_errors = [
         lifted_residual[cx] - base_residual[node - 1]

@@ -19,6 +19,7 @@ from crnbalance import (
     StepKind,
     SubnetworkSplit,
     balance_conditions,
+    birch_point,
     cayley_matrix,
     canonical_complex_graph,
     canonical_split_graph,
@@ -33,6 +34,7 @@ from crnbalance import (
     join_nodes,
     laplacian_matrix,
     mass_action_rates,
+    network,
     node_balance_residual,
     ode_rhs,
     parse_network,
@@ -296,7 +298,7 @@ def test_variety_samples_satisfy_their_own_graph(table1):
 
 def test_binomials_ab(ab):
     g = canonical_complex_graph(ab)
-    binomials = steady_state_binomials(g, [Fraction(2), Fraction(1)])
+    binomials = steady_state_binomials(check_kappa_balanced(g, [Fraction(2), Fraction(1)]))
     assert len(binomials) == 2
     first = binomials[0]
     assert first.edge == (1, 2)
@@ -308,7 +310,8 @@ def test_binomials_ab(ab):
 
 def test_a_binomial_refuses_a_state_of_the_wrong_length(running):
     # a 1-entry state must not read as a zero residual, nor a 3-entry one as -9
-    first = steady_state_binomials(canonical_complex_graph(running), KPRIME)[0]
+    check = check_kappa_balanced(canonical_complex_graph(running), KPRIME)
+    first = steady_state_binomials(check)[0]
     for x in ((Fraction(1),), (Fraction(1),) * 3):
         with pytest.raises(ValueError, match=f"state has {len(x)} entries, network has 2 species"):
             first.residual(x)
@@ -318,7 +321,7 @@ def test_a_binomial_refuses_a_state_of_the_wrong_length(running):
 def test_binomials_g3_reduce_to_pairwise_equations(table1):
     rng = random.Random(58)
     kappa = helpers.random_kappa(rng, 6)
-    binomials = steady_state_binomials(table1[3], kappa)
+    binomials = steady_state_binomials(check_kappa_balanced(table1[3], kappa))
     by_reaction = {b.reaction: b for b in binomials}
     # edge of r2 ties the two complexes of distinct 3X2 nodes: the
     # binomial is kappa1 * (kappa2 x1 x2^2 - kappa6 x2^3)
@@ -336,7 +339,7 @@ def test_binomials_g3_reduce_to_pairwise_equations(table1):
 def test_binomials_vanish_exactly_at_balanced_state(table1):
     rng = random.Random(59)
     kappa, x_star = helpers.balanced_kappa(rng, table1[4])
-    for b in steady_state_binomials(table1[4], kappa):
+    for b in steady_state_binomials(check_kappa_balanced(table1[4], kappa)):
         assert b.residual(x_star) == 0
 
 
@@ -363,7 +366,7 @@ def test_the_solved_state_zeroes_every_binomial(running, fig2):
     for g in graphs:
         kappa, _ = helpers.balanced_kappa(rng, g)
         x = solve_positive_steady_state(g, kappa).x
-        for b in steady_state_binomials(g, kappa):
+        for b in steady_state_binomials(check_kappa_balanced(g, kappa)):
             sides = [
                 float(c) * math.prod(v**e for v, e in zip(x, exps))
                 for c, exps in ((b.lhs_coeff, b.lhs_exps), (b.rhs_coeff, b.rhs_exps))
@@ -528,6 +531,41 @@ def test_exact_kappa_of_any_size_is_checked(running):
     g = canonical_complex_graph(running)
     assert check_kappa_balanced(g, [huge * k for k in KPRIME]).balanced
     assert not check_kappa_balanced(g, [huge] + KPRIME[1:]).balanced
+
+
+def test_kappa_none_reads_the_stored_rates(ab, running, table1):
+    # as in numeric_kappa, mass_action_rates and simulate; refused when a rate is symbolic
+    entries = (check_kappa_balanced, tree_constants_eval, laplacian_matrix)
+    g = canonical_complex_graph(ab)
+    for entry in entries:
+        assert entry(g, None) == entry(g, [2, 1])
+    for entry in entries:
+        with pytest.raises(ValueError, match="pass kappa$"):
+            entry(canonical_complex_graph(running), None)
+    with pytest.raises(ValueError, match="pass kappa$"):
+        incremental_condition(table1[4], 1, 5).holds(None)
+
+
+def test_each_entry_validates_kappa_only_in_the_callees_that_read_it(running, table1, monkeypatch):
+    # one validation checks kappa[0] first: the check validates in tree_constants_eval,
+    # birch_point in its solve and float model, verify_lift in two rate vectors and
+    # the lifted kappa
+    checked = []
+    check_number = network._check_number
+
+    def counted(value, name):
+        checked.append(name)
+        check_number(value, name)
+
+    monkeypatch.setattr(network, "_check_number", counted)
+    for call, most in (
+        (lambda: check_kappa_balanced(table1[4], KPRIME), 1),
+        (lambda: birch_point(running, table1[4], KPRIME, (2, 0)), 2),
+        (lambda: verify_lift(running, table1[4], KPRIME, (Fraction(1), Fraction(1))), 3),
+    ):
+        checked.clear()
+        call()
+        assert 0 < checked.count("kappa[0]") <= most
 
 
 def test_incremental_verdict_equivalence(table1):

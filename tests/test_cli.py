@@ -10,7 +10,7 @@ import tracemalloc
 
 import pytest
 
-from crnbalance import SteadyStateResult, cli
+from crnbalance import SteadyStateResult, balance, cli, network
 from crnbalance.cli import main
 
 DATA = "tests/data"
@@ -259,6 +259,32 @@ def test_steady_state_refuses_a_float_solve_that_misses_a_balanced_kappa(monkeyp
     code, out = run_cli("steady-state", RUNNING, "--partition", P4, "--kappa", "1,1,1,1,2,2")
     assert (code, out) == (2, "")
     assert "log-residual 2e-09 on a balanced kappa" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command, extra, evaluations, validations", [
+    (["steady-state"], [], 2, 2),
+    (["steady-state"], ["--class", "1,2"], 3, 5),
+    (["balance", "check"], [], 1, 1),
+])
+def test_each_command_evaluates_k_and_validates_kappa_at_most_so_often(
+    command, extra, evaluations, validations, monkeypatch
+):
+    # every K evaluation builds one Laplacian, and each kappa validation checks
+    # its p = 6 entries; running.crn has symbolic rates, so parsing adds none
+    calls = {"laplacian": 0, "entry": 0}
+
+    def counted(name, function):
+        def wrapper(*args):
+            calls[name] += 1
+            return function(*args)
+        return wrapper
+
+    monkeypatch.setattr(balance, "laplacian_matrix", counted("laplacian", balance.laplacian_matrix))
+    monkeypatch.setattr(network, "_check_number", counted("entry", network._check_number))
+    code, _ = run_cli(*command, RUNNING, "--partition", P4, "--kappa", "1,1,1,1,2,2", *extra)
+    assert code == 0
+    assert calls["laplacian"] <= evaluations
+    assert calls["entry"] <= 6 * validations
 
 
 def test_simulate_csv_trace():
