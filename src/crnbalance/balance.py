@@ -12,7 +12,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from typing import Sequence
 
 from . import ratmat
@@ -200,13 +200,19 @@ class RelationValue:
 
 @dataclass(frozen=True)
 class BalanceCheck:
-    """What check_kappa_balanced returns: the exact tree constants K of
-    graph at the kappa checked, and each kernel relation evaluated at K.
-    steady_state_binomials reads graph and K from it."""
+    """What check_kappa_balanced returns: graph and its exact tree constants K
+    at the kappa checked; values evaluates each kernel relation at K when read."""
 
     graph: ReactionGraph
     constants: tuple[Fraction, ...]
-    values: tuple[RelationValue, ...]
+
+    @cached_property
+    def values(self) -> tuple[RelationValue, ...]:
+        k, one = self.constants, Fraction(1)
+        return tuple(
+            RelationValue(rel, _side_product(rel.lhs, k, one), _side_product(rel.rhs, k, one))
+            for rel in balance_conditions(self.graph).relations
+        )
 
     @property
     def balanced(self) -> bool:
@@ -220,13 +226,7 @@ def check_kappa_balanced(g: ReactionGraph, kappa: Sequence) -> BalanceCheck:
     each relation's two sides as exact rationals.
     """
     _require_weakly_reversible(g, "check_kappa_balanced")
-    constants = tree_constants_eval(g, kappa)
-    values = []
-    for rel in balance_conditions(g).relations:
-        lhs = _side_product(rel.lhs, constants, Fraction(1))
-        rhs = _side_product(rel.rhs, constants, Fraction(1))
-        values.append(RelationValue(rel, lhs, rhs))
-    return BalanceCheck(g, tuple(constants), tuple(values))
+    return BalanceCheck(g, tuple(tree_constants_eval(g, kappa)))
 
 
 @dataclass(frozen=True)

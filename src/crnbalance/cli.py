@@ -227,7 +227,7 @@ def cmd_steady_state(net: ReactionNetwork, args) -> tuple[dict, int]:
     kappa = _parse_kappa(net, args.kappa)
     check = check_kappa_balanced(g, kappa)
     feasible = check.balanced  # exact; the float solve gives x
-    result = solve_positive_steady_state(g, kappa)
+    result = solve_positive_steady_state(check)
     if feasible and not result.feasible:
         raise ValueError(f"float solve left log-residual {result.residual:.3g} on a balanced kappa")
     report = {
@@ -289,8 +289,11 @@ def cmd_simulate(net: ReactionNetwork, args) -> tuple[dict, int]:
 
 def cmd_decompose(net: ReactionNetwork, args) -> tuple[dict, int]:
     g = _load_graph(net, args)
-    groups = [group for group in args.subsets.split(";") if group.strip()]
-    split = SubnetworkSplit(net, tuple(tuple(map(int, group.split(","))) for group in groups))
+    try:
+        subsets = [tuple(map(int, s.split(","))) for s in args.subsets.split(";") if s.strip()]
+    except ValueError as exc:
+        raise ValueError(f"--subsets wants integers, got {args.subsets!r}") from exc
+    split = SubnetworkSplit(net, tuple(subsets))
     induced = induced_graphs(g, split)
     report = {
         "subsets": [list(s) for s in split.subsets],

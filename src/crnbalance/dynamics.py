@@ -20,7 +20,7 @@ from enum import Enum
 from typing import Sequence
 
 from . import ratmat
-from .balance import RESIDUAL_TOL, _require_weakly_reversible, tree_constants_eval
+from .balance import RESIDUAL_TOL, BalanceCheck, check_kappa_balanced
 from .graphs import ReactionGraph
 from .network import ReactionNetwork, numeric_kappa
 
@@ -288,7 +288,7 @@ def simulate(
     model = _FloatModel(net, kappa)
     step = model.cash_karp_step if adaptive else model.rk4_step
     h = float(dt) if dt is not None else _initial_step(model, x, t_end)
-    h_min = max(t_end, 1.0) * 1e-14
+    h_min = t_end * 1e-14  # relative, so that a t_end of 1e-15 still steps
     t = 0.0
     rows = []  # every stride-th accepted (t, state) before the latest; see SimulationTrace
     accepted, stride = 0, 1
@@ -299,7 +299,7 @@ def simulate(
     # summed steps can land a rounding sliver short of t_end; that sliver ends the run
     while not residual < STEADY_TOL and t_end - t > h_min and steps < MAX_STEPS:
         h = min(h, t_end - t)
-        if h < h_min:
+        if not h > h_min:  # also h = 0.0, which never advances t
             raise SimulationError(f"step size underflow at t={t:.6g}")
         x_new, err, h_next = step(x, fx, h, tol)
         if not all(map(math.isfinite, x_new)):
@@ -353,17 +353,16 @@ class SteadyStateResult:
     residual: float
 
 
-def solve_positive_steady_state(g: ReactionGraph, kappa: Sequence) -> SteadyStateResult:
+def solve_positive_steady_state(check: BalanceCheck) -> SteadyStateResult:
     """Least-squares solve of the log-linear system N^T log x = C_G^T log K.
 
     Row j is the log of edge (a, b)'s binomial K_b x^(Y_a) = K_a x^(Y_b),
-    with K the tree constants. Consistency of this system (residual below
-    RESIDUAL_TOL) is equivalent to the kappa being node balanced; the
-    returned x is one positive solution.
+    with g and its tree constants K read from check. Consistency of this
+    system (residual below RESIDUAL_TOL) is equivalent to the kappa checked
+    being node balanced; the returned x is one positive solution.
     """
     import numpy as np
-    _require_weakly_reversible(g, "solve_positive_steady_state")
-    constants = tree_constants_eval(g, kappa)
+    g, constants = check.graph, check.constants
     mat = np.array(ratmat.transpose(g.network.stoichiometric_matrix), dtype=float)
     vec = np.array([math.log(constants[b - 1]) - math.log(constants[a - 1]) for a, b in g.edges])
     xi, *_ = np.linalg.lstsq(mat, vec, rcond=None)
@@ -391,8 +390,8 @@ def birch_point(
     relative for small classes, and a few ulps of M for large ones.
 
     Raises:
-        ValueError: g is a graph of another network, or x0 or kappa does
-            not fit the network or the float range.
+        ValueError: g is another network's graph or not weakly reversible,
+            or x0 or kappa does not fit the network or the float range.
         NotBalancedError: kappa fails the balance conditions.
         ConvergenceError: Newton stalled or left tolerance unmet.
     """
@@ -400,7 +399,7 @@ def birch_point(
     if g.network != net:
         raise ValueError("graph belongs to a different network")
     target = None if x0 is None else np.array(_state(net, x0, "x0"))
-    result = solve_positive_steady_state(g, kappa)
+    result = solve_positive_steady_state(check_kappa_balanced(g, kappa))
     if not result.feasible:
         raise NotBalancedError(
             f"rate constants are not node balanced (log-residual {result.residual:.3g})"

@@ -12,9 +12,9 @@ from dataclasses import dataclass
 from functools import cached_property
 from typing import Sequence
 
-from .balance import state_is_balanced
+from .balance import node_balance_residual, residual_is_zero
 from .graphs import ReactionGraph, graph_from_partition
-from .network import ReactionNetwork, numeric_kappa
+from .network import ReactionNetwork, mass_action_rates
 from .partitions import AdmissiblePartition
 
 
@@ -65,12 +65,6 @@ class Subnetwork:
     network: ReactionNetwork
     reaction_indices: tuple[int, ...]
     species_indices: tuple[int, ...]
-
-    def project_state(self, x: Sequence) -> tuple:
-        return tuple(x[i] for i in self.species_indices)
-
-    def project_kappa(self, kappa: Sequence) -> tuple:
-        return tuple(kappa[j - 1] for j in self.reaction_indices)
 
 
 def subnetwork(net: ReactionNetwork, reactions: Sequence[int]) -> Subnetwork:
@@ -198,20 +192,23 @@ def decomposition_check(
 
     Checks (a) balance of the whole graph plus each named subset's graph,
     (b) balance of the refined union graph, (c) balance of every part
-    including the complement. Each verdict follows the zero rule of
-    ``balance.residual_is_zero``.
+    including the complement, all at one rate vector v(x). Each verdict
+    follows the zero rule of ``balance.residual_is_zero``.
     """
+    if g.network != net:  # v is read with net's reactions, the residuals with g's
+        raise ValueError("graph belongs to a different network")
     induced = induced_graphs(g, split)
-    kap = numeric_kappa(net, kappa)
-    whole = state_is_balanced(g, x, kap)  # first: it refuses x of the wrong length
+    v = mass_action_rates(net, x, kappa)
+
+    def balanced(graph: ReactionGraph, rates: Sequence) -> bool:
+        return residual_is_zero(node_balance_residual(graph, rates))
+
+    whole = balanced(g, v)
     part_balanced = [
-        state_is_balanced(
-            part.graph, part.subnetwork.project_state(x), part.subnetwork.project_kappa(kap)
-        )
-        for part in induced.parts
+        balanced(part.graph, [v[j - 1] for j in part.reactions]) for part in induced.parts
     ]
     named = part_balanced[: len(split.subsets)]
-    union = state_is_balanced(induced.union_graph, x, kap)
+    union = balanced(induced.union_graph, v)
     return DecompositionCheck(
         whole_and_subsets=whole and all(named),
         union_graph=union,

@@ -344,15 +344,16 @@ def test_binomials_vanish_exactly_at_balanced_state(table1):
 
 
 def test_solver_fixed_points(table1, ab):
-    result = solve_positive_steady_state(table1[4], KPRIME)
+    result = solve_positive_steady_state(check_kappa_balanced(table1[4], KPRIME))
     assert result.feasible
     assert result.x == pytest.approx((1.0, 1.0), abs=1e-9)
-    assert solve_positive_steady_state(table1[4], ONES).x == pytest.approx((1.0, 1.0))
-    bad = solve_positive_steady_state(table1[2], KPRIME)
+    ones = solve_positive_steady_state(check_kappa_balanced(table1[4], ONES))
+    assert ones.x == pytest.approx((1.0, 1.0))
+    bad = solve_positive_steady_state(check_kappa_balanced(table1[2], KPRIME))
     assert not bad.feasible and bad.x is None and bad.residual > 1e-3
 
     g = canonical_complex_graph(ab)
-    res = solve_positive_steady_state(g, [2, 1])
+    res = solve_positive_steady_state(check_kappa_balanced(g, [2, 1]))
     assert res.feasible
     assert res.x[1] / res.x[0] == pytest.approx(2.0, rel=1e-9)
 
@@ -365,8 +366,9 @@ def test_the_solved_state_zeroes_every_binomial(running, fig2):
     assert len(graphs) == 9 + 103
     for g in graphs:
         kappa, _ = helpers.balanced_kappa(rng, g)
-        x = solve_positive_steady_state(g, kappa).x
-        for b in steady_state_binomials(check_kappa_balanced(g, kappa)):
+        check = check_kappa_balanced(g, kappa)
+        x = solve_positive_steady_state(check).x
+        for b in steady_state_binomials(check):
             sides = [
                 float(c) * math.prod(v**e for v, e in zip(x, exps))
                 for c, exps in ((b.lhs_coeff, b.lhs_exps), (b.rhs_coeff, b.rhs_exps))
@@ -378,7 +380,7 @@ def test_solver_matches_ode_on_sampled_balanced_kappa(table1):
     rng = random.Random(60)
     for _ in range(10):
         kappa, _ = helpers.balanced_kappa(rng, table1[2])
-        result = solve_positive_steady_state(table1[2], kappa)
+        result = solve_positive_steady_state(check_kappa_balanced(table1[2], kappa))
         assert result.feasible
         rhs = ode_rhs(table1[2].network, result.x, [float(k) for k in kappa])
         assert max(abs(float(v)) for v in rhs) < 1e-7
@@ -389,8 +391,8 @@ def test_feasibility_matches_exact_balance_verdict(table1):
     for _ in range(30):
         kappa = helpers.random_kappa(rng, 6)
         for i in (1, 2, 4):
-            exact = check_kappa_balanced(table1[i], kappa).balanced
-            assert solve_positive_steady_state(table1[i], kappa).feasible == exact
+            check = check_kappa_balanced(table1[i], kappa)
+            assert solve_positive_steady_state(check).feasible == check.balanced
 
 
 def test_node_balance_residual_is_incidence_times_rates(table1):
@@ -548,8 +550,8 @@ def test_kappa_none_reads_the_stored_rates(ab, running, table1):
 
 def test_each_entry_validates_kappa_only_in_the_callees_that_read_it(running, table1, monkeypatch):
     # one validation checks kappa[0] first: the check validates in tree_constants_eval,
-    # birch_point in its solve and float model, verify_lift in two rate vectors and
-    # the lifted kappa
+    # birch_point in its check and float model, verify_lift in two rate vectors and
+    # the lifted kappa, decomposition_check in its one rate vector
     checked = []
     check_number = network._check_number
 
@@ -562,6 +564,9 @@ def test_each_entry_validates_kappa_only_in_the_callees_that_read_it(running, ta
         (lambda: check_kappa_balanced(table1[4], KPRIME), 1),
         (lambda: birch_point(running, table1[4], KPRIME, (2, 0)), 2),
         (lambda: verify_lift(running, table1[4], KPRIME, (Fraction(1), Fraction(1))), 3),
+        (lambda: decomposition_check(
+            running, table1[1], SubnetworkSplit(running, ((1, 2, 6),)), KPRIME, (1, 1)
+        ), 1),
     ):
         checked.clear()
         call()

@@ -255,15 +255,15 @@ def test_steady_state_feasibility_is_the_exact_verdict_of_balance_check():
 
 def test_steady_state_refuses_a_float_solve_that_misses_a_balanced_kappa(monkeypatch, capsys):
     missed = SteadyStateResult(False, None, None, 2e-9)
-    monkeypatch.setattr(cli, "solve_positive_steady_state", lambda g, kappa: missed)
+    monkeypatch.setattr(cli, "solve_positive_steady_state", lambda check: missed)
     code, out = run_cli("steady-state", RUNNING, "--partition", P4, "--kappa", "1,1,1,1,2,2")
     assert (code, out) == (2, "")
     assert "log-residual 2e-09 on a balanced kappa" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("command, extra, evaluations, validations", [
-    (["steady-state"], [], 2, 2),
-    (["steady-state"], ["--class", "1,2"], 3, 5),
+    (["steady-state"], [], 1, 1),
+    (["steady-state"], ["--class", "1,2"], 2, 4),
     (["balance", "check"], [], 1, 1),
 ])
 def test_each_command_evaluates_k_and_validates_kappa_at_most_so_often(
@@ -442,6 +442,13 @@ def test_decompose_refuses_a_short_state(capsys):
     assert (code, out) == (2, "")
     err = capsys.readouterr().err
     assert err == "error: state has 1 entries, network has 2 species\n"
+
+
+def test_decompose_names_the_flag_of_a_subset_that_is_not_integers(capsys):
+    # used to print int()'s own message, which names neither the flag nor the value
+    code, out = run_cli("decompose", RUNNING, "--partition", f"{DATA}/p1.json", "--subsets", "1,a")
+    assert (code, out) == (2, "")
+    assert capsys.readouterr().err == "error: --subsets wants integers, got '1,a'\n"
 
 
 def test_lift_reports_and_verifies():

@@ -188,9 +188,26 @@ def test_simulate_ends_on_a_whole_number_of_default_steps(running):
 
 
 def test_simulate_still_raises_on_a_step_below_the_minimum(ab):
-    # the minimum step is 1e-14 * max(t_end, 1); only the end of the run may be shorter
+    # the minimum step is 1e-14 * t_end; only the end of the run may be shorter
     with pytest.raises(SimulationError, match="underflow at t=0"):
         simulate(ab, (3.0, 0.0), t_end=1.0, dt=1e-16)
+
+
+@pytest.mark.parametrize("adaptive", [False, True], ids=["fixed", "adaptive"])
+@pytest.mark.parametrize("t_end", [1e-15, 1e-13])
+def test_simulate_steps_up_to_a_tiny_t_end(ab, t_end, adaptive):
+    # the minimum step used to be 1e-14 * max(t_end, 1): 1e-15 returned x0 after
+    # no step, and 1e-13 raised step size underflow at t=0
+    trace = simulate(ab, (3.0, 0.0), [2, 1], t_end=t_end, adaptive=adaptive)
+    assert trace.steps >= 1
+    assert trace.times[-1] == pytest.approx(t_end, rel=1e-12)
+    assert trace.final[1] == pytest.approx(6 * t_end, rel=1e-9)  # dB/dt = 2 * 3 at x0
+
+
+def test_simulate_refuses_a_t_end_whose_steps_round_to_zero(ab):
+    # the smallest subnormal: t_end / 100 is 0.0, and a zero step never advances t
+    with pytest.raises(SimulationError, match="underflow at t=0"):
+        simulate(ab, (3.0, 0.0), [2, 1], t_end=5e-324)
 
 
 def test_fixed_step_run_equals_a_plain_rk4(ab):

@@ -20,6 +20,7 @@ from crnbalance import (
     node_balance_residual,
     parse_network,
     refines,
+    state_is_balanced,
     subnetwork,
 )
 
@@ -58,8 +59,6 @@ def test_subnetwork_infers_species_and_complexes(fig2):
     assert sub.network.species == ("X2", "X4")
     assert sub.species_indices == (1, 3)
     assert sub.reaction_indices == (7,)
-    assert sub.project_state((10, 20, 30, 40)) == (20, 40)
-    assert sub.project_kappa(list(range(1, 9))) == (7,)
 
 
 def test_subnetwork_keeps_reaction_order_and_rates(running):
@@ -187,19 +186,72 @@ def test_decomposition_check_refuses_a_state_of_the_wrong_length(running, table1
         decomposition_check(running, table1[1], split, KPRIME, x)
 
 
+def test_decomposition_check_refuses_a_graph_of_another_network(running, table1):
+    # the running example with r5/r6 listed first: its rates, read against the
+    # incidence of running's graph, turned a balanced state into three False
+    reordered = parse_network(
+        "species: X1 X2\n"
+        "r1: 3 X1 <=> 3 X2 @ k5, k6\n"
+        "r3: 3 X1 -> X1 + 2 X2 @ k1\n"
+        "r4: X1 + 2 X2 -> 3 X2 @ k2\n"
+        "r5: 3 X2 -> 2 X1 + X2 @ k3\n"
+        "r6: 2 X1 + X2 -> 3 X1 @ k4\n"
+    )
+    split = SubnetworkSplit(running, ((1, 2, 6),))
+    union = induced_graphs(table1[1], split).union_graph
+    kappa, x = helpers.balanced_kappa(random.Random(1), union)
+    assert decomposition_check(running, table1[1], split, kappa, x).balanced
+    with pytest.raises(ValueError, match="graph belongs to a different network"):
+        decomposition_check(reordered, table1[1], split, kappa, x)
+
+
+def _per_part_verdicts(g, split, kappa, x):
+    # the three views as each part's own subnetwork judges them, at the projected
+    # state and rate constants
+    induced = induced_graphs(g, split)
+    parts = [
+        state_is_balanced(
+            part.graph,
+            [x[i] for i in part.subnetwork.species_indices],
+            [kappa[j - 1] for j in part.reactions],
+        )
+        for part in induced.parts
+    ]
+    whole = state_is_balanced(g, x, kappa) and all(parts[: len(split.subsets)])
+    return whole, state_is_balanced(induced.union_graph, x, kappa), all(parts)
+
+
 def test_decomposition_verdicts_agree_on_arbitrary_states(running, table1):
+    # random kappa and states, and states balanced for the whole graph or for a
+    # union graph, exact and as floats: one rate vector read per part gives what
+    # each part's own subnetwork gives
     rng = random.Random(84)
     splits = [
         SubnetworkSplit(running, ((1, 2, 6),)),
         SubnetworkSplit(running, ((3, 4), (5, 6))),
         SubnetworkSplit(running, ((1, 4), (2, 3))),
     ]
+    seen = set()
     for _ in range(25):
-        kappa = helpers.random_kappa(rng, 6)
-        x = tuple(Fraction(rng.randint(1, 5), rng.randint(1, 5)) for _ in range(2))
         for split in splits:
-            check = decomposition_check(running, table1[1], split, kappa, x)
-            assert check.agree
+            union = induced_graphs(table1[1], split).union_graph
+            states = [
+                (
+                    helpers.random_kappa(rng, 6),
+                    tuple(Fraction(rng.randint(1, 5), rng.randint(1, 5)) for _ in range(2)),
+                ),
+                helpers.balanced_kappa(rng, table1[1]),
+            ]
+            if union.is_weakly_reversible:
+                states.append(helpers.balanced_kappa(rng, union))
+            for kappa, x in states:
+                for k, y in ((kappa, x), ([float(v) for v in kappa], [float(v) for v in x])):
+                    check = decomposition_check(running, table1[1], split, k, y)
+                    verdicts = (check.whole_and_subsets, check.union_graph, check.all_parts)
+                    assert check.agree
+                    assert verdicts == _per_part_verdicts(table1[1], split, k, y)
+                    seen.add(verdicts)
+    assert seen == {(False, False, False), (True, True, True)}
 
 
 def test_decomposition_check_float_states(running, table1):
