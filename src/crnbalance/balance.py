@@ -330,7 +330,7 @@ def omega_symmetry_check(g: ReactionGraph, x: Sequence, kappa: Sequence | None =
         sum(lifted[i][j] for j in range(m)) - sum(lifted[j][i] for j in range(m))
         for i in range(m)
     )
-    v = mass_action_rates(g.network, x, kappa)
+    v = [rho[r.target][r.source] for r in g.network.reactions]
     residual = tuple(node_balance_residual(g, v))
     matches = residual_is_zero([a - b for a, b in zip(difference, residual)])
     return OmegaCheck(difference, residual, residual_is_zero(difference), matches)
@@ -342,7 +342,6 @@ class IncrementalCondition:
 
     graph: ReactionGraph
     kind: StepKind
-    node_pair: tuple[int, int]
     lhs: KPoly | None
     rhs: KPoly | None
 
@@ -366,10 +365,10 @@ def incremental_condition(g: ReactionGraph, i1: int, i2: int) -> IncrementalCond
     """
     _require_weakly_reversible(g, "incremental_condition")
     if g.join_kind(i1, i2) is StepKind.DIFFERENT_COMPONENTS:
-        return IncrementalCondition(g, StepKind.DIFFERENT_COMPONENTS, (i1, i2), None, None)
+        return IncrementalCondition(g, StepKind.DIFFERENT_COMPONENTS, None, None)
     trees = tree_constants_symbolic(g)
     lhs, rhs = cancel_common_content(trees[i1 - 1], trees[i2 - 1])
-    return IncrementalCondition(g, StepKind.SAME_COMPONENT, (i1, i2), lhs, rhs)
+    return IncrementalCondition(g, StepKind.SAME_COMPONENT, lhs, rhs)
 
 
 def positive_kernel_flux(g: ReactionGraph, weights: Sequence | None = None) -> list[Fraction]:

@@ -39,6 +39,7 @@ from .graphs import (
     equivalent,
     graph_from_partition,
 )
+from .kpoly import product_text
 from .lifting import lift_network, verify_lift
 from .network import (
     ReactionNetwork,
@@ -52,7 +53,7 @@ from .partitions import (
     partition_from_json,
     partition_to_json,
 )
-from .reporting import GraphRows, emit, graph_summary, monomial_str
+from .reporting import GraphRows, emit, graph_summary
 from .subnetworks import SubnetworkSplit, decomposition_check, induced_graphs
 
 
@@ -120,12 +121,6 @@ def _kappa_and_state(net: ReactionNetwork, args):
     return _parse_kappa(net, args.kappa), _parse_vector(args.state)
 
 
-def _factor_string(factors: Sequence[tuple[int, int]]) -> str:
-    if not factors:
-        return "1"
-    return "*".join(f"K{i}" if e == 1 else f"K{i}^{e}" for i, e in factors)
-
-
 def _network_facts(net: ReactionNetwork) -> dict:
     return {"species": list(net.species), "n": net.n, "m": net.m, "p": net.p}
 
@@ -164,7 +159,7 @@ def cmd_graphs_enumerate(net: ReactionNetwork, args) -> tuple[dict, int]:
         return partition.blocks, g.m, g.n_components, g.deficiency, g.is_weakly_reversible
 
     # emit streams the rows, so each graph is dropped once its row is written
-    graphs = GraphRows(lambda: map(row, enumerate_admissible_partitions(net, args.max)))
+    graphs = GraphRows(map(row, enumerate_admissible_partitions(net, args.max)))
     return {"admissible_count": count_admissible_partitions(net), "graphs": graphs}, 0
 
 
@@ -187,8 +182,8 @@ def cmd_balance_conditions(net: ReactionNetwork, args) -> tuple[dict, int]:
     for rel in conditions.relations:
         entry = {
             "u": list(rel.u),
-            "lhs": _factor_string(rel.lhs),
-            "rhs": _factor_string(rel.rhs),
+            "lhs": product_text((f"K{i}", e) for i, e in rel.lhs),
+            "rhs": product_text((f"K{i}", e) for i, e in rel.rhs),
         }
         if args.expand:
             entry["lhs_expanded"] = rel.lhs_poly.format()
@@ -239,9 +234,9 @@ def cmd_steady_state(net: ReactionNetwork, args) -> tuple[dict, int]:
                 "edge": list(b.edge),
                 "equation": "{}*{} = {}*{}".format(
                     format_rate(b.lhs_coeff),
-                    monomial_str(net.species, b.lhs_exps),
+                    product_text(zip(net.species, b.lhs_exps)),
                     format_rate(b.rhs_coeff),
-                    monomial_str(net.species, b.rhs_exps),
+                    product_text(zip(net.species, b.rhs_exps)),
                 ),
             }
             for b in steady_state_binomials(check)

@@ -113,13 +113,7 @@ class KPoly:
         # largest exponent tuple first reads like the handwritten polynomials
         chunks = []
         for exps, coeff in sorted(self.terms, reverse=True):
-            factors = []
-            for i, e in enumerate(exps):
-                if e == 1:
-                    factors.append(f"k{i + 1}")
-                elif e > 1:
-                    factors.append(f"k{i + 1}^{e}")
-            body = "*".join(factors) if factors else "1"
+            body = product_text((f"k{i}", e) for i, e in enumerate(exps, start=1))
             if coeff == 1:
                 chunks.append(body)
             elif coeff == -1:
@@ -128,6 +122,12 @@ class KPoly:
                 chunks.append(f"{coeff}*{body}")
         text = " + ".join(chunks)
         return text.replace("+ -", "- ")
+
+
+def product_text(factors: Iterable[tuple[str, int]]) -> str:
+    """``name`` or ``name^e`` for each (name, e) with e > 0, joined by ``*``; ``1`` if none."""
+    text = "*".join(name if e == 1 else f"{name}^{e}" for name, e in factors if e > 0)
+    return text or "1"
 
 
 def cancel_common_content(a: KPoly, b: KPoly) -> tuple[KPoly, KPoly]:

@@ -10,29 +10,24 @@ from __future__ import annotations
 import json
 from enum import Enum
 from fractions import Fraction
-from typing import Sequence
 
 from .graphs import ReactionGraph
 from .network import format_rate
 
 
 class GraphRows:
-    """The ``graphs`` list of an enumeration report, produced on demand.
+    """The ``graphs`` list of an enumeration report, read once.
 
-    ``produce`` returns an iterator of (partition blocks, nodes,
-    components, deficiency, weakly reversible) tuples. It is called once
-    here, so that whatever refuses the input raises before any output is
-    written, and afresh for every later iteration. ``json_value`` turns
-    the rows into a list; ``emit`` streams them as JSON or text.
+    ``rows`` is an iterator of (partition blocks, nodes, components,
+    deficiency, weakly reversible) tuples. ``json_value`` turns the rows
+    into a list; ``emit`` streams them as JSON or text.
     """
 
-    def __init__(self, produce):
-        self._produce = produce
-        self._first = produce()
+    def __init__(self, rows):
+        self._rows = rows
 
     def __iter__(self):
-        rows, self._first = self._first, None
-        return rows if rows is not None else self._produce()
+        return self._rows
 
     def dicts(self):
         """The rows as report entries, one at a time."""
@@ -63,15 +58,6 @@ def json_value(value):
     if isinstance(value, (list, tuple)):
         return [json_value(v) for v in value]
     return value
-
-
-def monomial_str(names: Sequence[str], exps: Sequence[int]) -> str:
-    parts = []
-    for name, e in zip(names, exps):
-        if e == 0:
-            continue
-        parts.append(name if e == 1 else f"{name}^{e}")
-    return "*".join(parts) if parts else "1"
 
 
 def graph_summary(g: ReactionGraph) -> dict:
@@ -163,7 +149,7 @@ def _write_graph_rows(rows: GraphRows, stream) -> None:
 def emit(data: dict, fmt: str, stream) -> None:
     """Write one report; json is the stable machine contract.
 
-    The json form encodes the report directly; for reports with string
+    The json form encodes the report key by key; for reports with string
     keys it equals ``json.dumps(json_value(data), indent=2)`` without
     copying the report first. The text form renders each top-level value
     through ``_text_lines``. In both, a top-level GraphRows value is
@@ -182,8 +168,6 @@ def emit(data: dict, fmt: str, stream) -> None:
             stream.write(f"{key}:\n")
             for row in value.dicts():
                 stream.write("\n".join(["  -", *_text_lines(row, 2)]) + "\n")
-    elif not any(isinstance(v, GraphRows) for v in data.values()):
-        stream.write(json.dumps(data, indent=2, default=_json_default) + "\n")
     else:
         sep = "{"
         for key, value in data.items():
@@ -194,4 +178,4 @@ def emit(data: dict, fmt: str, stream) -> None:
                 text = json.dumps(value, indent=2, default=_json_default)
                 stream.write(text.replace("\n", "\n  "))
             sep = ","
-        stream.write("\n}\n")
+        stream.write("{}\n" if sep == "{" else "\n}\n")

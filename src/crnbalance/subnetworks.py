@@ -105,8 +105,6 @@ class InducedPart:
 class InducedGraphs:
     """Per-part graphs plus the refined union graph on the full network."""
 
-    source: ReactionGraph
-    split: SubnetworkSplit
     parts: tuple[InducedPart, ...]
     union_graph: ReactionGraph
 
@@ -161,7 +159,7 @@ def induced_graphs(g: ReactionGraph, split: SubnetworkSplit) -> InducedGraphs:
     union = graph_from_partition(
         net, AdmissiblePartition(net, blocks).canonical()
     )
-    return InducedGraphs(g, split, tuple(parts), union)
+    return InducedGraphs(tuple(parts), union)
 
 
 @dataclass(frozen=True)

@@ -551,7 +551,8 @@ def test_kappa_none_reads_the_stored_rates(ab, running, table1):
 def test_each_entry_validates_kappa_only_in_the_callees_that_read_it(running, table1, monkeypatch):
     # one validation checks kappa[0] first: the check validates in tree_constants_eval,
     # birch_point in its check and float model, verify_lift in two rate vectors and
-    # the lifted kappa, decomposition_check in its one rate vector
+    # the lifted kappa, decomposition_check and omega_symmetry_check in their one
+    # rate vector
     checked = []
     check_number = network._check_number
 
@@ -567,6 +568,7 @@ def test_each_entry_validates_kappa_only_in_the_callees_that_read_it(running, ta
         (lambda: decomposition_check(
             running, table1[1], SubnetworkSplit(running, ((1, 2, 6),)), KPRIME, (1, 1)
         ), 1),
+        (lambda: omega_symmetry_check(table1[1], (1, 1), KPRIME), 1),
     ):
         checked.clear()
         call()

@@ -8,6 +8,7 @@ from fractions import Fraction
 import pytest
 
 from crnbalance import KPoly, cancel_common_content
+from crnbalance.kpoly import product_text
 
 
 def _random_poly(rng, nvars, max_terms=4):
@@ -90,6 +91,8 @@ def test_format_strings():
     p = KPoly.from_terms(2, [((1, 0), 1), ((0, 1), -2)])
     assert p.format() == "k1 - 2*k2"
     assert KPoly.monomial(2, (0, 1), coeff=-1).format() == "-k2"
+    assert product_text([]) == product_text([("X", 0)]) == "1"
+    assert product_text([("X", 1), ("Y", 0), ("Z", 3)]) == "X*Z^3"
 
 
 def test_power_rejects_negative():
